@@ -2,7 +2,8 @@
 squares, conductor-square Picard/SK0, and the acceptance selftest.
 
 Exit codes: 0 success, 1 mathematical negative (with witness), 2 usage
-error, 3 inconclusive/budget.  JSON output is canonical (sorted keys,
+error; 3 (inconclusive) is reserved and no longer returned, since
+membership is exact.  JSON output is canonical (sorted keys,
 fixed separators) and omits wall-clock timing so identical inputs produce
 byte-identical bytes; timing appears in text mode only.
 """
@@ -15,12 +16,10 @@ import time
 from .lattice import AbelianGroupShape
 from .monoid import (
     CancellativeMonoid,
-    InconclusiveError,
     PcMonoid,
     is_torsion_free,
     member,
     rank,
-    set_default_budget,
     units_submonoid,
 )
 from .cones import face_lattice, face_locate, interior_member
@@ -49,7 +48,7 @@ from .acceptance import run_selftest
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
+EXIT_INCONCLUSIVE = 3  # reserved: membership is exact, nothing returns it
 
 
 class UsageError(Exception):
@@ -198,8 +197,6 @@ def cmd_interior(args):
     m = _require_cancellative(load_monoid(args.monoid), "interior")
     a = parse_vector(args.element)
     res = member(m, a)
-    if res.status == "inconclusive":
-        return {"results": {"status": "inconclusive", "note": res.note}}, EXIT_INCONCLUSIVE
     if not res.is_yes:
         raise UsageError(f"element {list(a)} is not in the monoid")
     inside = interior_member(m, a)
@@ -383,7 +380,8 @@ def build_parser():
         description="exact computations on finitely generated commutative monoids",
     )
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--budget", type=int, default=None, help="membership search budget")
+    p.add_argument("--budget", type=int, default=None,
+                   help="accepted and ignored: membership is exact and takes no budget")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="structural report for a monoid file")
@@ -436,8 +434,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is not None:
-        set_default_budget(args.budget)
     t0 = time.perf_counter()
     fn = COMMANDS[args.command]
     try:
@@ -445,9 +441,6 @@ def main(argv=None):
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except InconclusiveError as e:
-        sys.stderr.write(f"inconclusive: {e}\n")
-        return EXIT_INCONCLUSIVE
     except CertificationError as e:
         sys.stderr.write(f"certification failure: {e}\n")
         return EXIT_NEGATIVE

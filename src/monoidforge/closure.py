@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import AbelianGroupShape, facet_normals, integer_kernel, rank_of
+from .lattice import (
+    AbelianGroupShape,
+    facet_normals,
+    integer_kernel,
+    rank_of,
+    unimodular_inverse,
+)
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
 from .cones import bar_face_submonoid, face_lattice, interior_member
 
@@ -170,7 +176,7 @@ def _saturate_cone_lattice(vectors, dim):
     proj = lambda v: tuple(sum(U[i][t] * v[t] for t in range(dim)) for i in range(k, dim))
     img = [proj(g) for g in vectors]
     hb_q = hilbert_basis([v for v in img if any(v)], dim - k) if dim - k else []
-    Uinv = _int_inverse(U)
+    Uinv = unimodular_inverse(U)
     lifts = []
     for h in hb_q:
         full = [0] * k + list(h)
@@ -234,19 +240,6 @@ def _closure_delta(M, closed):
         added.append(g)
         certs[g] = _multiple_certificate(M, g)
     return sorted(added), certs
-
-
-def _int_inverse(U):
-    from .lattice import solve_integer
-
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        sol = solve_integer(U, e)
-        assert sol is not None
-        cols.append(sol)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _multiple_certificate(M, a, cap=1000):

@@ -5,7 +5,7 @@ All face data lives in the coordinates of gp(Mbar) = Z^r supplied by the
 torsion quotient; torsion is projected away first and reattached by callers.
 """
 
-from .lattice import facet_normals, primitive, rank_of
+from .lattice import primitive, rank_of
 from .monoid import CancellativeMonoid, member
 
 
@@ -38,7 +38,7 @@ class RationalCone:
         self.dim = self.tq.rank
         self.bar_gens = list(self.tq.Mbar.generators)
         self.rays = sorted({primitive(g) for g in self.bar_gens})
-        self.normals = facet_normals(self.bar_gens, self.dim)
+        self.normals = M.cone_normals()
         self._check_duality()
 
     def _check_duality(self):

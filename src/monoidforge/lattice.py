@@ -1,6 +1,7 @@
 """Exact integer linear algebra: Smith normal form with transforms, integer
-kernels and solves (with torsion congruences), subgroup shapes, facet normals
-of rational cones, and non-negative integer feasibility search.
+kernels, solves and inverses (with torsion congruences), subgroup shapes,
+facet normals of rational cones, rational feasibility, and the non-negative
+integer solve (an adapter over the membership engine of monoid.py).
 
 All arithmetic is arbitrary-precision Python int / Fraction; matrices are
 plain lists of lists.
@@ -226,24 +227,35 @@ def solve_integer(m, b):
     cols = len(m[0]) if rows else 0
     if rows == 0:
         return tuple([0] * cols)
-    U, D, V = smith_normal_form(m)
+    return solve_smith(smith_normal_form(m), b)
+
+
+def solve_smith(snf, b):
+    """solve_integer for a matrix given by its Smith form (U, D, V)."""
+    U, D, V = snf
     c = mat_vec(U, list(b))
+    cols = len(V)
     y = [0] * cols
     diag = diagonal_of(D)
-    for i in range(rows):
+    for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
-            if c[i] != 0:
+            if ci != 0:
                 return None
         else:
-            if c[i] % d != 0:
+            if ci % d != 0:
                 return None
-            if i < cols:
-                y[i] = c[i] // d
-    for i in range(len(diag), rows):
-        if c[i] != 0:
-            return None
+            y[i] = ci // d
     return tuple(mat_vec(V, y))
+
+
+def unimodular_inverse(m):
+    """Inverse of a square integer matrix of determinant +-1, from one Smith
+    form: U m V = I gives m^-1 = V U."""
+    U, D, V = smith_normal_form(m)
+    if any(D[i][i] != 1 for i in range(len(D))):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(V, U)
 
 
 def rank_of(m):
@@ -505,22 +517,13 @@ def nonneg_rational_feasible(generators, target, max_constraints=4000):
 class SolveResult:
     """Outcome of a non-negative integer feasibility search."""
 
-    status: str  # "witness" | "no" | "inconclusive"
+    status: str  # "witness" | "no"
     coeffs: tuple = None
     note: str = ""
 
     @property
     def is_witness(self):
         return self.status == "witness"
-
-
-def _verify_witness(coeffs, generators, target, ambient):
-    acc = ambient.zero()
-    for c, g in zip(coeffs, generators):
-        if c < 0:
-            return False
-        acc = ambient.add(acc, ambient.scale(c, g))
-    return acc == ambient.reduce(target)
 
 
 def grading_for(generators, ambient):
@@ -622,108 +625,23 @@ def _covector_from_span(basis_mat, w_span, r, span_rank):
     return tuple(int(x * denom) for x in sol)
 
 
-def nonneg_solve(target, generators, ambient, budget=200000):
-    """Search c in Z_+^s with sum c_i g_i = target.
+def nonneg_solve(target, generators, ambient):
+    """Exact search for c in Z_+^s with sum c_i g_i = target.
 
-    With a strictly positive grading the search is exhaustive and terminates
-    ("no" is a proof).  Otherwise: integer-solvability and rational
-    feasibility give exact "no"s, and a bounded kernel-lattice search yields
-    either a witness or "inconclusive" at budget exhaustion (never "no").
+    An adapter over the membership engine of monoid.member: the answer is
+    "witness", with coefficients in the caller's generator order, or "no",
+    which is a proof.
     """
-    target = ambient.reduce(target)
-    all_gens = [ambient.reduce(g) for g in generators]
-    if target == ambient.zero():
-        return SolveResult("witness", (0,) * len(all_gens))
-    # zero generators contribute nothing; keep index bookkeeping for witnesses
-    keep = [i for i, g in enumerate(all_gens) if any(g)]
-    gens = [all_gens[i] for i in keep]
+    from .monoid import CancellativeMonoid, member
 
-    def expand(res):
-        if res.status != "witness":
-            return res
-        full = [0] * len(all_gens)
-        for i, c in zip(keep, res.coeffs):
-            full[i] = c
-        return SolveResult("witness", tuple(full))
-
-    if not gens:
-        return SolveResult("no", note="no nonzero generators")
-
-    w = grading_for(gens, ambient)
-    if w is not None and all(sum(a * b for a, b in zip(w, g)) >= 1 for g in gens):
-        r = ambient.free_rank
-        degs = [sum(a * b for a, b in zip(w, g[:r])) for g in gens]
-        dt = sum(a * b for a, b in zip(w, target[:r]))
-        if dt < 0:
-            return SolveResult("no", note="negative grading degree")
-        # exhaustive graded dynamic programming up to degree dt
-        frontier = {ambient.zero(): (0,) * len(gens)}
-        seen = dict(frontier)
-        for _ in range(dt):
-            new = {}
-            for el, coeffs in frontier.items():
-                dcur = sum(a * b for a, b in zip(w, el[:r]))
-                for i, g in enumerate(gens):
-                    if dcur + degs[i] <= dt:
-                        nxt = ambient.add(el, g)
-                        if nxt not in seen:
-                            wit = list(coeffs)
-                            wit[i] += 1
-                            new[nxt] = tuple(wit)
-            if not new:
-                break
-            seen.update(new)
-            frontier = new
-        if target in seen:
-            coeffs = seen[target]
-            assert _verify_witness(coeffs, gens, target, ambient)
-            return expand(SolveResult("witness", coeffs))
-        return SolveResult("no", note=f"exhausted graded search to degree {dt}")
-
-    # general path
-    part = element_in_subgroup(target, gens, ambient)
-    if part is None:
-        return SolveResult("no", note="target outside generated subgroup")
-    r = ambient.free_rank
-    feas = nonneg_rational_feasible(
-        [g[:r] for g in gens], list(target[:r])
-    )
-    if feas is False:
-        return SolveResult("no", note="rationally infeasible")
-    if all(c >= 0 for c in part):
-        assert _verify_witness(part, gens, target, ambient)
-        return expand(SolveResult("witness", part))
-    kernel = subgroup_kernel(gens, ambient)
-    if not kernel:
-        return SolveResult("no", note="unique integer solution has a negative entry")
-    used = 0
-    radius = 1
-    while used < budget:
-        for combo in _box(len(kernel), radius):
-            if all(abs(t) < radius for t in combo):
-                continue  # enumerated at a smaller radius
-            used += 1
-            cand = list(part)
-            for t, k in zip(combo, kernel):
-                if t:
-                    for i in range(len(cand)):
-                        cand[i] += t * k[i]
-            if all(c >= 0 for c in cand):
-                cand = tuple(cand)
-                if _verify_witness(cand, gens, target, ambient):
-                    return expand(SolveResult("witness", cand))
-            if used >= budget:
-                break
-        radius += 1
-        if radius > 64:
-            break
-    return SolveResult("inconclusive", note=f"budget {budget} exhausted (radius {radius})")
-
-
-def _box(dim, radius):
-    if dim == 0:
-        yield ()
-        return
-    for rest in _box(dim - 1, radius):
-        for t in range(-radius, radius + 1):
-            yield rest + (t,)
+    M = CancellativeMonoid(ambient, generators)
+    res = member(M, target)
+    if not res.is_yes:
+        return SolveResult("no", note=res.note)
+    first = {}
+    for j, g in enumerate(generators):
+        first.setdefault(ambient.reduce(g), j)
+    coeffs = [0] * len(generators)
+    for g, c in zip(M.generators, res.witness):
+        coeffs[first[g]] = c
+    return SolveResult("witness", tuple(coeffs))

@@ -3,49 +3,40 @@ their structural operations.
 
 Monoid elements are reduced tuples over the ambient group Z^r x prod Z/d_i;
 the ambient AbelianGroupShape does all coordinate arithmetic.  Membership is
-exact: for positive monoids a strictly positive grading bounds the search,
-otherwise lattice reduction plus a budgeted branch search is used and
-"inconclusive" is a first-class outcome.
+exact and always ends.  A positive monoid is searched through a strictly
+positive grading, slice by slice.  A monoid M with units U = U(M) is reduced
+to the positive monoid M/U inside G/U: a lies in M exactly when its image lies
+in M/U, and a witness found there is lifted back to M through the unit
+generators (UnitQuotient).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 
 from .lattice import (
     AbelianGroupShape,
     diagonal_of,
     element_in_subgroup,
+    facet_normals,
     grading_for,
-    nonneg_solve,
+    rank_of,
     smith_normal_form,
     solve_integer,
+    solve_rational,
+    solve_smith,
     subgroup_shape,
+    unimodular_inverse,
 )
 
 
 class InconclusiveError(Exception):
-    """A membership search hit its budget where an exact answer was required."""
-
-
-def _env_budget():
-    import os
-
-    try:
-        return int(os.environ.get("MONOIDFORGE_BUDGET", "200000"))
-    except ValueError:
-        return 200000
-
-
-DEFAULT_BUDGET = _env_budget()
-
-
-def set_default_budget(n):
-    global DEFAULT_BUDGET
-    DEFAULT_BUDGET = int(n)
+    """Kept for compatibility: membership is exact and nothing raises this."""
 
 
 @dataclass
 class Membership:
-    status: str  # "yes" | "no" | "inconclusive"
+    status: str  # "yes" | "no"
     witness: tuple = None
     note: str = ""
 
@@ -184,12 +175,43 @@ class CancellativeMonoid:
                     out.append(el)
         return sorted(set(out))
 
-    # -- torsion quotient -----------------------------------------------------
+    # -- torsion quotient, cone and units -------------------------------------
 
     def torsion_quotient(self):
         if "tq" not in self._cache:
             self._cache["tq"] = TorsionQuotient(self)
         return self._cache["tq"]
+
+    def cone_normals(self):
+        """Primitive inward facet normals of the cone of Mbar (coordinates of
+        gp(Mbar) = Z^r); none when the cone is a linear space."""
+        if "normals" not in self._cache:
+            tq = self.torsion_quotient()
+            self._cache["normals"] = facet_normals(list(tq.Mbar.generators), tq.rank)
+        return self._cache["normals"]
+
+    def unit_generators(self):
+        """The generators that are units, from cone geometry: g is a unit
+        exactly when every facet normal of the cone of Mbar vanishes on the
+        image of g (the image lies in the lineality space).  A positively
+        graded monoid has none."""
+        if "units" not in self._cache:
+            units = ()
+            if self.grading() is None:
+                normals = self.cone_normals()
+                images = self.torsion_quotient()._bar_images
+                units = tuple(
+                    g for g, v in zip(self.generators, images)
+                    if not any(_dot(n, v) for n in normals)
+                )
+            self._cache["units"] = units
+        return self._cache["units"]
+
+    def unit_quotient(self):
+        """M/U(M) with the lift of its witnesses; monoids with units only."""
+        if "uq" not in self._cache:
+            self._cache["uq"] = UnitQuotient(self)
+        return self._cache["uq"]
 
 
 class TorsionQuotient:
@@ -205,6 +227,7 @@ class TorsionQuotient:
         if not gens:
             self.rank = 0
             self.Mbar = CancellativeMonoid(AbelianGroupShape(0), [])
+            self._bar_images = []
             self._basis = []
             self._sections = []
             self.torsion_elements = [amb.zero()]
@@ -215,7 +238,7 @@ class TorsionQuotient:
         diag = diagonal_of(D)
         r = sum(1 for d in diag if d)
         # columns of U^{-1} scaled by the elementary divisors span the lattice
-        Uinv = _unimodular_inverse(U)
+        Uinv = unimodular_inverse(U)
         basis = []
         for j in range(r):
             basis.append(tuple(Uinv[i][j] * diag[j] for i in range(k)))
@@ -272,15 +295,136 @@ class TorsionQuotient:
         )
 
 
-def _unimodular_inverse(U):
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        sol = solve_integer(U, e)
-        assert sol is not None
-        cols.append(sol)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+class UnitQuotient:
+    """The positive monoid M/U inside G/U, for M with unit group U = U(M) in
+    the ambient group G, and the lift of its witnesses back to M.
+
+    U is generated as a group by the unit generators.  Coordinates of G/U
+    come from one Smith form P B Q = D of B = [unit generators | torsion
+    moduli]: x maps to the rows of P x, the rows with a zero elementary
+    divisor as they are (free part) and those with a divisor d > 1 mod d.
+    a lies in M exactly when its image lies in M/U; M/U is positive, so its
+    graded slices decide that.
+    """
+
+    def __init__(self, M):
+        amb = M.ambient
+        n, k = amb.dim, amb.free_rank
+        gens = M.generators
+        self.M = M
+        unit_set = set(M.unit_generators())
+        self.units = [i for i, g in enumerate(gens) if g in unit_set]
+        if not self.units:
+            raise RuntimeError(f"{M!r} has no positive grading and no unit generator")
+        cols = [list(gens[i]) for i in self.units]
+        cols += [[d if t == k + j else 0 for t in range(n)] for j, d in enumerate(amb.torsion)]
+        self._snf = smith_normal_form([[c[t] for c in cols] for t in range(n)])
+        P, D, _ = self._snf
+        diag = diagonal_of(D)
+        r = sum(1 for d in diag if d)
+        self._free_rows = P[r:]
+        self._torsion_rows = [(P[i], d) for i, d in enumerate(diag[:r]) if d > 1]
+        self.ambient = AbelianGroupShape(n - r, tuple(d for _, d in self._torsion_rows))
+        first = {}
+        for i, g in enumerate(gens):
+            if g not in unit_set:
+                first.setdefault(self.project(g), i)
+        self.quotient = CancellativeMonoid(self.ambient, list(first))
+        if self.quotient.grading() is None:
+            raise RuntimeError(f"M/U of {M!r} admits no positive grading")
+        self._lift_index = [first[v] for v in self.quotient.generators]
+        self._negations = [self._negation(j) for j in self.units]
+
+    def project(self, x):
+        """Coordinates of the image of x in G/U."""
+        return tuple(_dot(row, x) for row in self._free_rows) + tuple(
+            _dot(row, x) % d for row, d in self._torsion_rows
+        )
+
+    def _negation(self, j):
+        """Non-negative coefficients over the generators that sum to -g_j,
+        for the unit generator g_j.
+
+        -g_j lies in the cone of the unit generators (a linear space), so by
+        Caratheodory -N g_j = sum a_i g_i on the free parts, for N > 0, a_i
+        >= 0 and linearly independent g_i, found by exact rational solves.
+        t = N g_j + sum a_i g_i is then torsion, of order T, and
+        -g_j = (T N - 1) g_j + sum T a_i g_i.
+        """
+        amb = self.M.ambient
+        gens = self.M.generators
+        k = amb.free_rank
+        target = [-x for x in gens[j][:k]]
+        span = rank_of([list(gens[i][:k]) for i in self.units])
+        for size in range(span + 1):
+            for subset in combinations(self.units, size):
+                mat = [[gens[i][t] for i in subset] for t in range(k)]
+                if size and rank_of(mat) < size:
+                    continue
+                q = solve_rational(mat, target)
+                if q is None or any(x < 0 for x in q):
+                    continue
+                N = 1
+                for x in q:
+                    N = N * x.denominator // gcd(N, x.denominator)
+                coeffs = [0] * len(gens)
+                coeffs[j] = N
+                for i, x in zip(subset, q):
+                    coeffs[i] += int(x * N)
+                T = _torsion_order(_combine(coeffs, gens, amb), amb)
+                coeffs = [T * c for c in coeffs]
+                coeffs[j] -= 1
+                if _combine(coeffs, gens, amb) != amb.neg(gens[j]):
+                    raise RuntimeError(f"negation of unit generator {gens[j]} does not verify")
+                return coeffs
+        raise RuntimeError(f"generator {gens[j]} is not a unit of {self.M!r}")
+
+    def lift(self, a, witness):
+        """A witness over the generators of M for a, from a witness over the
+        generators of M/U for its image; checked in the ambient group."""
+        amb = self.M.ambient
+        gens = self.M.generators
+        coeffs = [0] * len(gens)
+        for i, c in zip(self._lift_index, witness):
+            coeffs[i] += c
+        # the rest h lies in U: solve for its unit coefficients and replace
+        # each negative one by the stored non-negative form of the negation
+        h = amb.sub(a, _combine(coeffs, gens, amb))
+        z = solve_smith(self._snf, h)
+        if z is None:
+            raise RuntimeError(f"{a} and its lifted witness differ outside U")
+        for j, e, neg in zip(self.units, z, self._negations):
+            if e >= 0:
+                coeffs[j] += e
+            else:
+                for i, c in enumerate(neg):
+                    coeffs[i] -= e * c
+        if _combine(coeffs, gens, amb) != a:
+            raise RuntimeError(f"lifted witness for {a} does not verify")
+        return tuple(coeffs)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _combine(coeffs, gens, ambient):
+    """sum c_i g_i in the ambient group."""
+    acc = [0] * ambient.dim
+    for c, g in zip(coeffs, gens):
+        if c:
+            for t, x in enumerate(g):
+                acc[t] += c * x
+    return ambient.reduce(acc)
+
+
+def _torsion_order(t, ambient):
+    """Order of an element with zero free part."""
+    order = 1
+    for x, d in zip(ambient.torsion_part(t), ambient.torsion):
+        o = d // gcd(x, d)
+        order = order * o // gcd(order, o)
+    return order
 
 
 def _group_closure(gens, ambient):
@@ -308,50 +452,46 @@ def _group_closure(gens, ambient):
 # membership and unit groups
 
 
-def member(M, a, budget=None):
-    """Exact membership of a in M with a verifiable witness.
+def member(M, a):
+    """Exact membership of a in M, with a witness over M.generators.
 
-    Positive monoids are decided exhaustively through the grading; otherwise
-    the search may return "inconclusive" at budget exhaustion (never a false
-    "no").
+    Positive monoids are searched through their grading, slice by slice.  A
+    monoid with units answers through the positive monoid M/U(M), and its
+    witness is lifted back to M and checked in the ambient group.  The
+    answer is "yes" with a witness, or "no", which is a proof.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     amb = M.ambient
     a = amb.reduce(a)
+    if M.grading() is not None:
+        return _graded_member(M, a)
+    uq = M.unit_quotient()
+    res = _graded_member(uq.quotient, uq.project(a))
+    if not res.is_yes:
+        return Membership("no", note=f"image outside M/U: {res.note}")
+    return Membership("yes", uq.lift(a, res.witness))
+
+
+def _graded_member(M, a):
+    """Membership of a reduced element in a positive monoid, by its slice."""
+    amb = M.ambient
     if a == amb.zero():
         return Membership("yes", (0,) * len(M.generators))
     if not M.generators:
         return Membership("no", note="trivial monoid")
-    w = M.grading()
-    if w is not None:
-        d = M.degree(a)
-        if d <= 0:
-            return Membership("no", note="nonpositive grading degree")
-        data = M._slice_data(d)
-        hit = data.get(a)
-        if hit is not None:
-            return Membership("yes", hit[0])
-        return Membership("no", note=f"exhausted graded slice to degree {d}")
-    res = nonneg_solve(a, list(M.generators), amb, budget=budget)
-    return Membership(
-        {"witness": "yes", "no": "no", "inconclusive": "inconclusive"}[res.status],
-        res.coeffs,
-        res.note,
-    )
+    d = M.degree(a)
+    if d <= 0:
+        return Membership("no", note="nonpositive grading degree")
+    hit = M._slice_data(d).get(a)
+    if hit is not None:
+        return Membership("yes", hit[0])
+    return Membership("no", note=f"exhausted graded slice to degree {d}")
 
 
 def units_submonoid(M):
-    """Generators of U(M): exactly the monoid generators whose negatives lie
-    in M (every unit is a non-negative combination of these)."""
-    units = []
-    for g in M.generators:
-        res = member(M, M.ambient.neg(g))
-        if res.status == "inconclusive":
-            raise InconclusiveError(f"unit check for generator {g} hit the budget")
-        if res.is_yes:
-            units.append(g)
-    return units
+    """Generators of U(M): the monoid generators whose images lie in the
+    lineality space of the cone (every unit is a non-negative combination of
+    these)."""
+    return list(M.unit_generators())
 
 
 def is_positive(M):
@@ -375,19 +515,14 @@ def torsion_quotient(M):
 # ideals as raw generator data (the ideals module wraps this)
 
 
-def ideal_contains(host, ideal_gens, x, budget=None):
+def ideal_contains(host, ideal_gens, x):
     """x in the ideal generated by ideal_gens: exists g with x - g in host."""
     amb = host.ambient
     x = amb.reduce(x)
-    inconclusive = False
     for g in ideal_gens:
-        res = member(host, amb.sub(x, g), budget=budget)
+        res = member(host, amb.sub(x, g))
         if res.is_yes:
             return Membership("yes", (g, res.witness))
-        if res.status == "inconclusive":
-            inconclusive = True
-    if inconclusive:
-        return Membership("inconclusive", note="a membership subquery hit the budget")
     return Membership("no")
 
 
@@ -550,8 +685,6 @@ class StarSubmonoid:
 
 
 def star_submonoid(ideal_host, ideal_gens):
-    if not ideal_gens:
-        return StarSubmonoid(ideal_host, ())
     return StarSubmonoid(ideal_host, ideal_gens)
 
 

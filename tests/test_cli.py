@@ -77,6 +77,16 @@ def test_interior_exit_codes(tmp_path):
     assert out["results"]["interior"] is False
 
 
+def test_budget_is_accepted_and_ignored(tmp_path):
+    mixed = {"ambient": {"rank": 2, "torsion": []}, "generators": [[1, 0], [-1, 0], [0, 1]]}
+    args = ["interior", "mixed.json", "--element=-3,1"]
+    plain = run_cli(args, {"mixed.json": mixed}, tmp_path)
+    budgeted = run_cli(["--budget", "1", *args], {"mixed.json": mixed}, tmp_path)
+    assert plain.returncode == budgeted.returncode == 0, plain.stderr
+    assert plain.stdout == budgeted.stdout
+    assert json.loads(plain.stdout)["results"]["interior"] is True
+
+
 def test_ideal_commands(tmp_path):
     proc = run_cli(
         ["ideal", "radical", "z2.json", "--ideal", "[[2,0]]"],

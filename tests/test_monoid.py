@@ -114,12 +114,12 @@ def test_torsion_quotient():
     m2 = M(ZxZ2, [(2, 1), (3, 0)])
     assert m2.torsion_quotient().Mbar.generators == ((2,), (3,))
     tf = M(Z2, [(1, 0), (1, 2)])
-    assert tf.torsion_quotient().Mbar == M(Z2 if False else AbelianGroupShape(2), [(1, 0), (1, 2)]) or True
-    # torsion-free monoid: projection is injective on a slice
     tq2 = tf.torsion_quotient()
+    assert tq2.rank == 2
+    # torsion-free monoid: the section inverts the projection on a slice
     for el in tf.slice(6):
-        assert tq2.section(tq2.project(el))[:2] == el[:2] or True
         assert len(tq2.project(el)) == 2
+        assert tq2.section(tq2.project(el)) == el
 
 
 def test_quotient_by_ideal():
