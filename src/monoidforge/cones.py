@@ -6,7 +6,7 @@ torsion quotient; torsion is projected away first and reattached by callers.
 """
 
 from .lattice import primitive, rank_of
-from .monoid import CancellativeMonoid, member
+from .monoid import CancellativeMonoid, _dot, member
 
 
 class Face:
@@ -18,19 +18,48 @@ class Face:
         self.gen_indices = gen_indices  # Mbar generators lying on the face
         self.rays = rays  # primitive generator vectors on the face
         self.dim = dim
+        # the same two sets as bitsets: bit i of normal_mask is facet i,
+        # bit j of gen_mask is bar generator j
+        self.normal_mask = _mask(normal_indices)
+        self.gen_mask = _mask(gen_indices)
 
     def __repr__(self):
         return f"Face(#{self.index}, dim={self.dim}, rays={list(self.rays)})"
 
     def contains_face(self, other):
-        return set(other.gen_indices) <= set(self.gen_indices)
+        return other.gen_mask & self.gen_mask == other.gen_mask
 
     def to_json(self):
         return {"index": self.index, "dim": self.dim, "rays": [list(r) for r in self.rays]}
 
 
+def _mask(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
 class RationalCone:
-    """Cone of Mbar with mutually consistent ray and facet descriptions."""
+    """Cone of Mbar with mutually consistent ray and facet descriptions.
+
+    The generator-facet incidence is kept once as integer bitsets:
+    ``gen_mask[j]`` holds the facets vanishing on bar generator j and
+    ``facet_mask[i]`` the bar generators lying on facet i.  Every face query
+    is answered from these masks.
+    """
 
     def __init__(self, M):
         self.M = M
@@ -39,72 +68,87 @@ class RationalCone:
         self.bar_gens = list(self.tq.Mbar.generators)
         self.rays = sorted({primitive(g) for g in self.bar_gens})
         self.normals = M.cone_normals()
-        self._check_duality()
-
-    def _check_duality(self):
-        for n in self.normals:
-            vals = [sum(a * b for a, b in zip(n, g)) for g in self.bar_gens]
-            assert all(v >= 0 for v in vals), "facet normal negative on a generator"
-            on = [list(g) for g, v in zip(self.bar_gens, vals) if v == 0]
+        self.all_facets = (1 << len(self.normals)) - 1
+        self.all_gens = (1 << len(self.bar_gens)) - 1
+        self.gen_mask = [0] * len(self.bar_gens)
+        self.facet_mask = [0] * len(self.normals)
+        for i, n in enumerate(self.normals):
+            for j, g in enumerate(self.bar_gens):
+                val = _dot(n, g)
+                assert val >= 0, "facet normal negative on a generator"
+                if val == 0:
+                    self.gen_mask[j] |= 1 << i
+                    self.facet_mask[i] |= 1 << j
+            on = [list(self.bar_gens[j]) for j in _bits(self.facet_mask[i])]
             assert rank_of(on) == self.dim - 1, "facet not supported by generators"
+        # vanishing masks of the host's own generators, in M.generators order
+        self.host_masks = [self.vanishing_mask(v) for v in self.tq._bar_images]
 
     def pointed(self):
         if self.dim == 0:
             return True
         return rank_of([list(n) for n in self.normals]) == self.dim
 
+    def vanishing_mask(self, v):
+        """Bitset of the facet normals vanishing at the point v (Mbar coords)."""
+        m = 0
+        for i, n in enumerate(self.normals):
+            if _dot(n, v) == 0:
+                m |= 1 << i
+        return m
+
     def vanishing_set(self, v):
         """Indices of facet normals vanishing at the point v (Mbar coords)."""
-        return tuple(
-            i
-            for i, n in enumerate(self.normals)
-            if sum(a * b for a, b in zip(n, v)) == 0
-        )
+        return _bits(self.vanishing_mask(v))
 
     def faces(self):
         """All faces, dimension-sorted; ties broken lex on sorted ray lists.
 
         Every face of a polyhedral cone is an intersection of facets, and for
         a generator description it is determined by the generators on it.
+        The generator sets of all intersections of facets are the closure of
+        the full set under intersection with each facet's generator set, so
+        the cost is #faces x #facets mask operations.
         """
         if hasattr(self, "_faces"):
             return self._faces
-        from itertools import combinations
-
-        seen = set()
-        nf = len(self.normals)
-        for size in range(nf + 1):
-            for subset in combinations(range(nf), size):
-                gi = tuple(
-                    j
-                    for j, g in enumerate(self.bar_gens)
-                    if all(
-                        sum(a * b for a, b in zip(self.normals[i], g)) == 0
-                        for i in subset
-                    )
-                )
-                seen.add(gi)
+        seen = {self.all_gens}
+        frontier = [self.all_gens]
+        while frontier:
+            nxt = []
+            for gm in frontier:
+                for fm in self.facet_mask:
+                    h = gm & fm
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
         faces = []
-        for gi in seen:
+        for gm in seen:
+            gi = _bits(gm)
             # canonical normal set: everything vanishing on the face
-            subset = tuple(
-                i
-                for i in range(nf)
-                if all(
-                    sum(a * b for a, b in zip(self.normals[i], self.bar_gens[j])) == 0
-                    for j in gi
-                )
-            )
-            gens_on = [list(self.bar_gens[j]) for j in gi]
-            dim = rank_of(gens_on)
+            nm = self.all_facets
+            for j in gi:
+                nm &= self.gen_mask[j]
+            dim = rank_of([list(self.bar_gens[j]) for j in gi])
             rays = sorted({primitive(self.bar_gens[j]) for j in gi})
-            faces.append((dim, rays, gi, subset))
+            faces.append((dim, rays, gi, _bits(nm)))
         faces.sort(key=lambda t: (t[0], t[1]))
         self._faces = [
-            Face(idx, tuple(subset), gi, tuple(rays), dim)
+            Face(idx, subset, gi, tuple(rays), dim)
             for idx, (dim, rays, gi, subset) in enumerate(faces)
         ]
+        self._face_by_gens = {f.gen_mask: f for f in self._faces}
         return self._faces
+
+    def face_of(self, v):
+        """The face whose relative interior contains the point v: the one
+        whose generators are those on every facet vanishing at v."""
+        gm = self.all_gens
+        for i in _bits(self.vanishing_mask(v)):
+            gm &= self.facet_mask[i]
+        self.faces()
+        return self._face_by_gens[gm]
 
 
 def face_lattice(M):
@@ -131,17 +175,7 @@ def face_locate(M, a):
     if not res.is_yes:
         raise ValueError(f"{a} is not an element of the monoid")
     cone = _cone_of(M)
-    v = cone.tq.project(a)
-    vanish = set(cone.vanishing_set(v))
-    gi = tuple(
-        j
-        for j, g in enumerate(cone.bar_gens)
-        if all(sum(x * y for x, y in zip(cone.normals[i], g)) == 0 for i in vanish)
-    )
-    for f in cone.faces():
-        if f.gen_indices == gi:
-            return f
-    raise AssertionError("vanishing set does not match any enumerated face")
+    return cone.face_of(cone.tq.project(a))
 
 
 def interior_member(M, a):
@@ -155,7 +189,7 @@ def interior_member(M, a):
         raise ValueError(f"{a} is not an element of the monoid")
     cone = _cone_of(M)
     v = cone.tq.project(a)
-    return len(cone.vanishing_set(v)) == 0
+    return cone.vanishing_mask(v) == 0
 
 
 def interior_member_definitional(M, a, n_bound=24):
@@ -178,11 +212,8 @@ def interior_member_definitional(M, a, n_bound=24):
 def face_submonoid(M, face):
     """M cap pi^{-1}(face) as a submonoid of M (ambient coordinates)."""
     cone = _cone_of(M)
-    gens = [
-        g
-        for g in M.generators
-        if set(cone.vanishing_set(cone.tq.project(g))) >= set(face.normal_indices)
-    ]
+    need = face.normal_mask
+    gens = [g for g, v in zip(M.generators, cone.host_masks) if v & need == need]
     return CancellativeMonoid(M.ambient, gens)
 
 
@@ -208,14 +239,11 @@ def is_extremal(M, e_gens):
             raise ValueError(f"submonoid generator {g} is not in the host monoid")
     cone = _cone_of(M)
     # minimal face containing all generator images
-    vanish = set(range(len(cone.normals)))
+    vanish = cone.all_facets
     for g in e_gens:
-        vanish &= set(cone.vanishing_set(cone.tq.project(g)))
-    face_gens = [
-        g
-        for g in M.generators
-        if set(cone.vanishing_set(cone.tq.project(g))) >= vanish
-    ]
+        vanish &= cone.vanishing_mask(cone.tq.project(g))
+    on_face = [v & vanish == vanish for v in cone.host_masks]
+    face_gens = [g for g, on in zip(M.generators, on_face) if on]
     E = CancellativeMonoid(amb, e_gens)
     extremal = True
     offender = None
@@ -226,16 +254,16 @@ def is_extremal(M, e_gens):
             break
     if extremal:
         w = [0] * cone.dim
-        for i in vanish:
+        for i in _bits(vanish):
             w = [a + b for a, b in zip(w, cone.normals[i])]
         w = tuple(w)
         # verify the witness: zero on E generators, positive elsewhere
         for g in e_gens:
             assert _phi(cone, w, g) == 0
-        for g in M.generators:
+        for g, on in zip(M.generators, on_face):
             val = _phi(cone, w, g)
             assert val >= 0
-            if set(cone.vanishing_set(cone.tq.project(g))) >= vanish:
+            if on:
                 assert val == 0
             else:
                 assert val > 0
@@ -254,5 +282,4 @@ def is_extremal(M, e_gens):
 
 
 def _phi(cone, w, x):
-    v = cone.tq.project(x)
-    return sum(a * b for a, b in zip(w, v))
+    return _dot(w, cone.tq.project(x))

@@ -92,13 +92,10 @@ def _faces_avoiding(host, ideal_gens):
     deeper intersection down to a generator)."""
     cone = _cone_of(host)
     faces = face_lattice(host)
-    gen_vanish = [set(cone.vanishing_set(cone.tq.project(g))) for g in ideal_gens]
-    out = []
-    for f in faces:
-        need = set(f.normal_indices)
-        if not any(v >= need for v in gen_vanish):
-            out.append(f)
-    return out
+    gen_vanish = [cone.vanishing_mask(cone.tq.project(g)) for g in ideal_gens]
+    return [
+        f for f in faces if not any(v & f.normal_mask == f.normal_mask for v in gen_vanish)
+    ]
 
 
 def is_prime(I, definitional_bound=3):
@@ -115,12 +112,12 @@ def is_prime(I, definitional_bound=3):
         raise ValueError("is_prime requires a proper ideal (got I = M)")
     host = I.host
     cone = _cone_of(host)
-    outside = [g for g in host.generators if not I.member(g).is_yes]
-    vanish = set(range(len(cone.normals)))
-    for g in outside:
-        vanish &= set(cone.vanishing_set(cone.tq.project(g)))
+    vanish = cone.all_facets
+    for g, v in zip(host.generators, cone.host_masks):
+        if not I.member(g).is_yes:
+            vanish &= v
     for g in I.generators:
-        if set(cone.vanishing_set(cone.tq.project(g))) >= vanish:
+        if cone.vanishing_mask(cone.tq.project(g)) & vanish == vanish:
             return False
     if definitional_bound and host.grading() is not None:
         amb = host.ambient
@@ -207,13 +204,13 @@ def radical(I, degree_bound=12, power_bound=64):
     if I.is_empty():
         return RadicalResult(MonoidIdeal(host, []), "faces", degree_bound, {})
     cone = _cone_of(host)
-    avoid = _faces_avoiding(host, I.generators)
+    avoid = [f.normal_mask for f in _faces_avoiding(host, I.generators)]
 
     def in_candidate(x):
         if not member(host, x).is_yes:
             return False
-        v = set(cone.vanishing_set(cone.tq.project(x)))
-        return not any(v >= set(f.normal_indices) for f in avoid)
+        v = cone.vanishing_mask(cone.tq.project(x))
+        return not any(v & need == need for need in avoid)
 
     gens = _predicate_ideal_generators(host, in_candidate, degree_bound)
     certs = {}
@@ -290,16 +287,15 @@ def prime_decomposition(I, degree_bound=12):
         f
         for f in avoid
         if not any(
-            set(f.gen_indices) < set(g.gen_indices) for g in avoid if g is not f
+            g.gen_mask != f.gen_mask and g.contains_face(f) for g in avoid
         )
     ]
     primes = []
     for f in maximal:
         comp = face_submonoid(host, f)
 
-        def outside_face(x, f=f):
-            v = set(cone.vanishing_set(cone.tq.project(x)))
-            return not (v >= set(f.normal_indices))
+        def outside_face(x, need=f.normal_mask):
+            return cone.vanishing_mask(cone.tq.project(x)) & need != need
 
         pgens = _predicate_ideal_generators(host, outside_face, degree_bound)
         P = MonoidIdeal(host, pgens)

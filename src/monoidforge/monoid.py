@@ -22,7 +22,6 @@ from .lattice import (
     grading_for,
     rank_of,
     smith_normal_form,
-    solve_integer,
     solve_rational,
     solve_smith,
     subgroup_shape,
@@ -246,18 +245,16 @@ class TorsionQuotient:
         self._basis = basis
         bmat = [[basis[j][i] for j in range(r)] for i in range(k)]  # k x r
         self._bmat = bmat
-        bar_gens = []
-        for f in frees:
-            c = solve_integer(bmat, f)
-            assert c is not None, "generator free part escapes its own lattice"
-            bar_gens.append(tuple(c))
+        # one Smith form of the basis matrix serves every projection
+        self._bsnf = smith_normal_form(bmat) if r else None
+        bar_gens = [self.project(g) for g in gens]
         self._bar_images = bar_gens
         self.Mbar = CancellativeMonoid(AbelianGroupShape(r), bar_gens)
         # section: write each basis vector as an integer combination of the
         # generators' free parts, then lift with the full torsion data
         sections = []
         for b in basis:
-            c = solve_integer(A, list(b))
+            c = solve_smith((U, D, V), b)
             assert c is not None
             lift = amb.zero()
             for ci, g in zip(c, gens):
@@ -274,11 +271,12 @@ class TorsionQuotient:
 
     def project(self, a):
         """Coordinates of a's free part in gp(Mbar) = Z^r."""
-        k = self.M.ambient.free_rank
-        c = solve_integer(self._bmat, list(a[:k])) if self.rank else ()
+        if not self.rank:
+            return ()
+        c = solve_smith(self._bsnf, a[: self.M.ambient.free_rank])
         if c is None:
             raise ValueError(f"{a} has free part outside the generator lattice")
-        return tuple(c) if self.rank else ()
+        return c
 
     def section(self, v):
         """Splitting gp(Mbar) -> gp(M); project(section(v)) == v."""

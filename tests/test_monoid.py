@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from monoidforge.lattice import AbelianGroupShape
+from monoidforge.lattice import AbelianGroupShape, solve_integer
 from monoidforge.monoid import (
     COLLAPSED,
     CancellativeMonoid,
@@ -120,6 +120,17 @@ def test_torsion_quotient():
     for el in tf.slice(6):
         assert len(tq2.project(el)) == 2
         assert tq2.section(tq2.project(el)) == el
+
+
+def test_project_matches_solve_integer():
+    # the stored Smith form gives the same coordinates as a fresh solve
+    for m in (M(Z2, [(1, 0), (1, 2)]), M(ZxZ2, [(2, 1), (3, 0), (5, 1)])):
+        tq = m.torsion_quotient()
+        k = m.ambient.free_rank
+        for el in sorted(m.slice(6)):
+            assert tq.project(el) == solve_integer(tq._bmat, list(el[:k]))
+    with pytest.raises(ValueError):
+        M(Z2, [(2, 0), (0, 2)]).torsion_quotient().project((1, 0))
 
 
 def test_quotient_by_ideal():
