@@ -150,6 +150,13 @@ def test_pic_and_sk0(tmp_path):
     assert len(out["results"]["slots"]) == 6
 
 
+def test_pic_past_the_enumeration_wall():
+    # <3,5>: gaps 1, 2, 4, 7 and q^c = 3^8 = 6561 elements of B/c
+    proc = run_cli(["pic", "--semigroup", "3,5", "--q", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["picard_order"] == 81
+
+
 def test_usage_errors(tmp_path):
     # unknown flag
     proc = run_cli(["faces", "--bogus"])
