@@ -11,7 +11,6 @@ from .lattice import (
 )
 from .monoid import (
     CancellativeMonoid,
-    AugmentedMonoid,
     InconclusiveError,
     Membership,
     PcMonoid,
@@ -41,7 +40,6 @@ from .ideals import (
     MonoidIdeal,
     PrimeDecomposition,
     ideal_filtration,
-    ideal_member,
     is_prime,
     is_radical,
     prime_decomposition,

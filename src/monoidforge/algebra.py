@@ -15,6 +15,7 @@ truncations with the bound reported.
 
 from dataclasses import dataclass
 
+from .lattice import field_eliminate
 from .monoid import PcMonoid, member, units_submonoid
 from .monoid import is_torsion_free as monoid_is_torsion_free
 
@@ -663,32 +664,4 @@ def _solve_inverse(u, window):
 
 def field_solve(R, A, b):
     """One solution of A x = b over the field R, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
-    piv = []
-    r = 0
-    for c in range(cols):
-        p = None
-        for i in range(r, rows):
-            if not R.is_zero(M[i][c]):
-                p = i
-                break
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = R.inv(M[r][c])
-        M[r] = [R.mul(inv, x) for x in M[r]]
-        for i in range(rows):
-            if i != r and not R.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(M[i], M[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if not R.is_zero(M[i][cols]):
-            return None
-    x = [R.zero()] * cols
-    for i, c in enumerate(piv):
-        x[c] = M[i][cols]
-    return x
+    return field_eliminate(R, A, [b])[2][0]

@@ -16,6 +16,8 @@ from .lattice import (
     facet_normals,
     integer_kernel,
     rank_of,
+    smith_normal_form,
+    solve_smith,
     unimodular_inverse,
 )
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
@@ -142,15 +144,14 @@ def _saturate_cone_lattice(vectors, dim):
         return []
     d = rank_of([list(v) for v in vectors])
     if d < dim:
-        from .lattice import solve_integer
-
         perp = integer_kernel([list(v) for v in vectors])
         span_basis = integer_kernel([list(p) for p in perp])
         assert len(span_basis) == d
         bmat = [[span_basis[j][i] for j in range(d)] for i in range(dim)]
+        bsnf = smith_normal_form(bmat)
         coords = []
         for v in vectors:
-            c = solve_integer(bmat, list(v))
+            c = solve_smith(bsnf, v)
             assert c is not None, "vector escapes the saturated span lattice"
             coords.append(c)
         inner = _saturate_cone_lattice(coords, d)
@@ -162,8 +163,6 @@ def _saturate_cone_lattice(vectors, dim):
     lin_rank = dim - rank_of([list(n) for n in normals]) if normals else dim
     if lin_rank == 0:
         return [tuple(h) for h in hilbert_basis(vectors, dim)]
-    from .lattice import smith_normal_form
-
     if normals:
         lin_basis = integer_kernel([list(n) for n in normals])
     else:

@@ -82,10 +82,6 @@ class MonoidIdeal:
         return {"generators": [list(g) for g in self.generators]}
 
 
-def ideal_member(I, x):
-    return I.member(x)
-
-
 def _faces_avoiding(host, ideal_gens):
     """Faces F of the cone with M cap pi^{-1}(F) disjoint from the ideal:
     exactly those containing no ideal generator (extremality pushes any

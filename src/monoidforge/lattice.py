@@ -1,16 +1,22 @@
-"""Exact integer linear algebra: Smith normal form with transforms, integer
-kernels, solves and inverses (with torsion congruences), subgroup shapes,
-facet normals of rational cones, rational feasibility, and the non-negative
-integer solve (an adapter over the membership engine of monoid.py).
+"""Exact linear algebra: Smith normal form with transforms, integer kernels,
+solves and inverses (with torsion congruences), subgroup shapes, facet
+normals of rational cones, rational feasibility, the non-negative integer
+solve (an adapter over the membership engine of monoid.py), and field
+elimination (field_eliminate: one Gauss-Jordan reduction of a matrix over
+any field gives its rank, a kernel basis and a solution for every
+right-hand side passed with it).
 
-All arithmetic is arbitrary-precision Python int / Fraction; matrices are
-plain lists of lists.
+Integer and rational arithmetic is arbitrary-precision Python int /
+Fraction; field_eliminate computes with the elements and operations of a
+rings.Ring field.  Matrices are plain lists of lists.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+
+from .rings import QQ
 
 
 def xgcd(a, b):
@@ -544,12 +550,9 @@ def grading_for(generators, ambient):
         if rank_of([list(b) for b in basis] + [list(f)]) > len(basis):
             basis.append(f)
     mat = [[b[i] for b in basis] for i in range(r)]  # columns = basis
-    coords = []
-    for f in nonzero:
-        sol = solve_rational(mat, f)
-        if sol is None:
-            return None
-        coords.append(sol)
+    _, _, coords = field_eliminate(QQ, mat, nonzero)
+    if None in coords:
+        return None
     normals = facet_normals_rational(coords, span_rank)
     if normals is None:
         return None
@@ -566,50 +569,71 @@ def grading_for(generators, ambient):
     return tuple(w)
 
 
+def field_eliminate(R, A, rhs=()):
+    """Gauss-Jordan elimination of [A | right-hand sides] over the field R,
+    once for all of them.
+
+    Returns (rank, kernel, solutions): a basis of {x : A x = 0}, one tuple per
+    free column in order (1 there, 0 on the other free columns, minus that
+    column of the reduced form on the pivots), and for each right-hand side
+    b the solution of A x = b with every free unknown 0, or None when A x = b
+    is inconsistent.
+    """
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    zero, mul, sub = R.zero(), R.mul, R.sub
+    M = [list(A[i]) + [b[i] for b in rhs] for i in range(rows)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        for p in range(r, rows):
+            if M[p][c] != zero:
+                break
+        else:
+            continue
+        M[r], M[p] = M[p], M[r]
+        inv = R.inv(M[r][c])
+        Mr = M[r] = [mul(inv, x) for x in M[r]]
+        for i in range(rows):
+            f = M[i][c]
+            if i != r and f != zero:
+                M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], Mr)]
+        pivots.append(c)
+    rank = len(pivots)
+    kernel = []
+    one, neg = R.one(), R.neg
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[fc] = one
+        for i, c in enumerate(pivots):
+            v[c] = neg(M[i][fc])
+        kernel.append(tuple(v))
+    solutions = []
+    for k in range(cols, cols + len(rhs)):
+        if any(M[i][k] != zero for i in range(rank, rows)):
+            solutions.append(None)
+            continue
+        x = [zero] * cols
+        for i, c in enumerate(pivots):
+            x[c] = M[i][k]
+        solutions.append(tuple(x))
+    return rank, kernel, solutions
+
+
 def solve_rational(mat, b):
     """Rational solution of mat x = b (columns unknowns), or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [[Fraction(mat[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    piv_cols = []
-    ridx = 0
-    for c in range(cols):
-        p = None
-        for i in range(ridx, rows):
-            if aug[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        aug[ridx], aug[p] = aug[p], aug[ridx]
-        pv = aug[ridx][c]
-        aug[ridx] = [x / pv for x in aug[ridx]]
-        for i in range(rows):
-            if i != ridx and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[ridx])]
-        piv_cols.append(c)
-        ridx += 1
-        if ridx == rows:
-            break
-    for i in range(ridx, rows):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][cols]
-    return tuple(sol)
+    return field_eliminate(QQ, mat, [b])[2][0]
+
+
+def clear_denominators(vec):
+    """(N, N * vec) for a rational vector, N the lcm of its denominators."""
+    N = lcm(*(x.denominator for x in vec))
+    return N, tuple(x.numerator * (N // x.denominator) for x in vec)
 
 
 def facet_normals_rational(vectors, dim):
     """facet_normals for vectors with Fraction entries (cleared to ints)."""
-    cleared = []
-    for v in vectors:
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        cleared.append(tuple(int(x * denom) for x in v))
-    return facet_normals(cleared, dim)
+    return facet_normals([clear_denominators(v)[1] for v in vectors], dim)
 
 
 def _covector_from_span(basis_mat, w_span, r, span_rank):
@@ -619,10 +643,7 @@ def _covector_from_span(basis_mat, w_span, r, span_rank):
     sol = solve_rational(bt, list(w_span))
     if sol is None:
         return None
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in sol)
+    return clear_denominators(sol)[1]
 
 
 def nonneg_solve(target, generators, ambient):

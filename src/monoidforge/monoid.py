@@ -16,6 +16,7 @@ from math import gcd
 
 from .lattice import (
     AbelianGroupShape,
+    clear_denominators,
     diagonal_of,
     element_in_subgroup,
     facet_normals,
@@ -362,13 +363,11 @@ class UnitQuotient:
                 q = solve_rational(mat, target)
                 if q is None or any(x < 0 for x in q):
                     continue
-                N = 1
-                for x in q:
-                    N = N * x.denominator // gcd(N, x.denominator)
+                N, scaled = clear_denominators(q)
                 coeffs = [0] * len(gens)
                 coeffs[j] = N
-                for i, x in zip(subset, q):
-                    coeffs[i] += int(x * N)
+                for i, x in zip(subset, scaled):
+                    coeffs[i] += x
                 T = _torsion_order(_combine(coeffs, gens, amb), amb)
                 coeffs = [T * c for c in coeffs]
                 coeffs[j] -= 1
@@ -598,24 +597,6 @@ class PcMonoid:
 
     def __repr__(self):
         return f"PcMonoid({self.base!r}, collapse={list(self.collapse_gens)})"
-
-
-INFINITY = "inf"
-
-
-class AugmentedMonoid:
-    """M_+ = M with an adjoined absorbing basepoint."""
-
-    def __init__(self, underlying):
-        self.underlying = underlying
-
-    def add(self, x, y):
-        if x == INFINITY or y == INFINITY:
-            return INFINITY
-        if isinstance(self.underlying, PcMonoid):
-            s = self.underlying.add(x, y)
-            return s
-        return self.underlying.ambient.add(x, y)
 
 
 def quotient_by_ideal(N, ideal_gens):

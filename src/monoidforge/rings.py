@@ -165,6 +165,9 @@ class RationalRing(Ring):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -216,6 +219,9 @@ class IntegerModRing(Ring):
 
     def neg(self, a):
         return (-a) % self.n
+
+    def sub(self, a, b):
+        return (a - b) % self.n
 
     def mul(self, a, b):
         return (a * b) % self.n
@@ -291,6 +297,11 @@ class GaloisField(Ring):
         if self.k == 1:
             return (-a) % self.p
         return tuple((-x) % self.p for x in a)
+
+    def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
+        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
         if self.k == 1:

@@ -11,18 +11,24 @@ elementwise fiber enumeration whenever the fiber size fits the budget.
 
 from dataclasses import dataclass, field
 
-from .lattice import AbelianGroupShape, integer_kernel, smith_normal_form, diagonal_of, solve_integer
+from .lattice import (
+    AbelianGroupShape,
+    diagonal_of,
+    field_eliminate,
+    integer_kernel,
+    smith_normal_form,
+    solve_smith,
+)
 from .monoid import CancellativeMonoid, PcMonoid, member, units_submonoid
 from .cones import face_lattice, face_locate
 from .closure import is_normal, is_seminormal
-from .ideals import MonoidIdeal, is_prime, is_radical, radical
+from .ideals import MonoidIdeal, _predicate_ideal_generators, is_prime, is_radical, radical
 from .algebra import (
     AlgebraElement,
     CancellativeAlgebra,
     MonomialQuotientAlgebra,
     MonomialSubsetAlgebra,
     PcAlgebra,
-    field_solve,
 )
 
 
@@ -162,57 +168,20 @@ def _express_in_basis(targets, basis, R):
     for j, b in enumerate(basis):
         for k, c in b.coeffs.items():
             A[index[k]][j] = c
-    coords = []
-    for t in targets:
-        tv = _as_column(t, index, R)
-        if R.is_field():
-            sol = field_solve(R, A, tv)
-        elif R.kind == "Z":
-            sol = solve_integer(A, tv)
-        else:
-            raise ValueError(
-                f"span corners over {R.kind} are not supported; use a field, Q, or Z"
-            )
+    tvs = [_as_column(t, index, R) for t in targets]
+    if R.is_field():
+        sols = field_eliminate(R, A, tvs)[2]
+    elif R.kind == "Z":
+        snf = smith_normal_form(A)
+        sols = [solve_smith(snf, tv) for tv in tvs]
+    else:
+        raise ValueError(
+            f"span corners over {R.kind} are not supported; use a field, Q, or Z"
+        )
+    for t, sol in zip(targets, sols):
         if sol is None:
             return None, t
-        coords.append(list(sol))
-    return coords, None
-
-
-def _field_rank_kernel(R, A):
-    """(rank, kernel basis as column tuples) of A over the field R."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [list(r) for r in A]
-    piv_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        p = None
-        for i in range(r, rows):
-            if not R.is_zero(M[i][c]):
-                p = i
-                break
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = R.inv(M[r][c])
-        M[r] = [R.mul(inv, x) for x in M[r]]
-        for i in range(rows):
-            if i != r and not R.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(M[i], M[r])]
-        piv_of_col[c] = r
-        r += 1
-    kernel = []
-    free_cols = [c for c in range(cols) if piv_of_col[c] is None]
-    for fc in free_cols:
-        v = [R.zero()] * cols
-        v[fc] = R.one()
-        for c in range(cols):
-            if piv_of_col[c] is not None:
-                v[c] = R.neg(M[piv_of_col[c]][fc])
-        kernel.append(tuple(v))
-    return r, kernel
+    return sols, None
 
 
 def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
@@ -269,17 +238,20 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
         inj_mat = [[lam_cols[i][j] for i in range(n1)] for j in range(n2 + n1p)]
         entry = {"degree": d, "dims": {"A1": n1, "A2": n2, "B1": n1p, "B2_keys": rows}}
         if R.is_field():
-            _, ker_inj = _field_rank_kernel(R, inj_mat)
+            rank_big, ker_big, _ = field_eliminate(R, big)
+            # one elimination of (top, left) gives its kernel and the lifts
+            # of the fiber basis
+            _, ker_inj, lifts = field_eliminate(R, inj_mat, ker_big)
             if ker_inj:
                 w = _combine(a1b, ker_inj[0])
                 return CartesianReport(
                     False, degree_bound, R.kind, "injectivity", per_degree,
                     witness=w, note=f"(top,left) kernel is nontrivial at degree {d}",
                 )
-            rank_big, ker_big = _field_rank_kernel(R, big)
             fp_dim = (n2 + n1p) - rank_big
             if fp_dim != n1:
-                wvec = _fiber_complement_witness(R, ker_big, inj_mat)
+                # a fiber vector outside the image of (top, left), if any
+                wvec = next((v for v, x in zip(ker_big, lifts) if x is None), None)
                 w = None
                 if wvec is not None:
                     w = (_combine(a2b, wvec[:n2]), _combine(b1b, wvec[n2:]))
@@ -291,7 +263,7 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
             entry["fiber_dim"] = fp_dim
             if R.finite and R.size() ** fp_dim <= elementwise_budget:
                 res = _elementwise_fiber_check(
-                    R, ker_big, inj_mat, a1b, a2b, b1b, (top, left)
+                    R, ker_big, lifts, a1b, a2b, b1b, (top, left)
                 )
                 if res is not True:
                     return CartesianReport(
@@ -321,35 +293,35 @@ def _combine(basis, coeffs):
     return out
 
 
-def _fiber_complement_witness(R, ker_big, inj_mat):
-    """A fiber vector outside the image of (top, left), if any."""
-    for v in ker_big:
-        if field_solve(R, inj_mat, list(v)) is None:
-            return v
-    return None
-
-
-def _elementwise_fiber_check(R, ker_big, inj_mat, a1b, a2b, b1b, legs):
+def _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs):
     """Enumerate every fiber element, lift it through (top, left), and
-    re-verify the lift at the element level; True or a witness pair."""
+    re-verify the lift at the element level; True or a witness pair.
+
+    (top, left) is injective here, so the lift of a fiber element is the
+    same combination of the fiber basis lifts as the element is of the
+    basis."""
     from itertools import product
 
     top, left = legs
-    dim = len(inj_mat)
     n2 = len(a2b)
+    pair = lambda v: (_combine(a2b, v[:n2]), _combine(b1b, v[n2:]))
+    for v, x in zip(ker_big, lifts):
+        if x is None:
+            return pair(v)
+    zero = R.zero()
+    dim, n1 = n2 + len(b1b), len(a1b)
     for combo in product(R.elements(), repeat=len(ker_big)):
-        v = [R.zero()] * dim
-        for c, kvec in zip(combo, ker_big):
-            if R.is_zero(c):
+        v = [zero] * dim
+        sol = [zero] * n1
+        for c, kvec, x in zip(combo, ker_big, lifts):
+            if c == zero:
                 continue
             for j in range(dim):
                 v[j] = R.add(v[j], R.mul(c, kvec[j]))
-        sol = field_solve(R, inj_mat, v)
-        if sol is None:
-            return (_combine(a2b, v[:n2]), _combine(b1b, v[n2:]))
+            for j in range(n1):
+                sol[j] = R.add(sol[j], R.mul(c, x[j]))
         lift = _combine(a1b, sol)
-        want_a2 = _combine(a2b, v[:n2])
-        want_b1 = _combine(b1b, v[n2:])
+        want_a2, want_b1 = pair(v)
         if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
             return (want_a2, want_b1)
     return True
@@ -381,13 +353,13 @@ def _integer_lattice_check(big, lam_cols, n1, R):
             return False, "(top,left) has an integer kernel", {}
     if len(ker) != n1:
         return False, f"kernel lattice rank {len(ker)} != dim A1 = {n1}", {}
-    kmat = [[ker[t][j] for t in range(len(ker))] for j in range(dim)]
-    imat = [[lam_i[t][j] for t in range(n1)] for j in range(dim)]
+    ksnf = smith_normal_form([[ker[t][j] for t in range(len(ker))] for j in range(dim)])
+    isnf = smith_normal_form([[lam_i[t][j] for t in range(n1)] for j in range(dim)])
     for col in lam_i:
-        if solve_integer(kmat, list(col)) is None:
+        if solve_smith(ksnf, col) is None:
             return False, "image column escapes the kernel lattice", {}
     for kv in ker:
-        if solve_integer(imat, list(kv)) is None:
+        if solve_smith(isnf, kv) is None:
             return False, "kernel vector not in the image lattice", {}
     extra = {"lattice_rank": n1}
     if R.kind.startswith("Z/"):
@@ -766,14 +738,8 @@ def build_prime_intersection_from_radical(N, ideal_gens, R, degree_bound=10):
     def in_rest(key):
         return all(P.member(key).is_yes for P, _, _ in rest)
 
-    qgens = _predicate_ideal_generators_host(N, in_rest, degree_bound)
+    qgens = _predicate_ideal_generators(N, in_rest, degree_bound)
     return build_prime_intersection(N, p, qgens, R, degree_bound)
-
-
-def _predicate_ideal_generators_host(N, pred, bound):
-    from .ideals import _predicate_ideal_generators
-
-    return _predicate_ideal_generators(N, pred, bound)
 
 
 def torsion_group_monoid(n_list):
