@@ -24,7 +24,7 @@ from math import gcd
 
 from .rings import GF, factorize
 from .algebra import field_solve
-from .lattice import diagonal_of, smith_normal_form, solve_smith, unimodular_inverse
+from .lattice import diagonal_of, mat_mul, smith_normal_form, solve_smith
 
 
 class NumericalSemigroup:
@@ -395,16 +395,21 @@ class OneUnitPresentation:
     def quotient(self, extra=()):
         """Z^N / (L + the extra columns) from one Smith form U m V = D:
         the invariant factors d > 1, each with the 1-unit named by its
-        column of U^-1, and the Smith form."""
+        column of U^-1, and the Smith form.
+
+        m V = U^-1 D, so column i of U^-1 is column i of m V divided by d_i;
+        the relation columns are triangular with diagonal p, so m has full
+        row rank and every d_i is nonzero."""
         n = len(self.gens)
         cols = self.relations + list(extra)
         if n == 0:
             return [], None
-        snf = smith_normal_form([[col[i] for col in cols] for i in range(n)])
-        U, D, _ = snf
-        u_inv = unimodular_inverse(U)
+        m = [[col[i] for col in cols] for i in range(n)]
+        snf = smith_normal_form(m)
+        _, D, V = snf
+        mv = mat_mul(m, V)
         factors = [
-            (d, self.element([row[i] for row in u_inv]))
+            (d, self.element([row[i] // d for row in mv]))
             for i, d in enumerate(diagonal_of(D))
             if d > 1
         ]

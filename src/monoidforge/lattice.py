@@ -431,10 +431,9 @@ def facet_normals(vectors, dim):
         return []  # cone is all of R
     found = set()
     for subset in combinations(range(len(vecs)), dim - 1):
-        rows = [list(vecs[i]) for i in subset]
-        if rank_of(rows) != dim - 1:
-            continue
-        ker = integer_kernel(rows)
+        # dim - 1 rows leave dim - rank kernel vectors: exactly one when the
+        # subset spans a hyperplane
+        ker = integer_kernel([list(vecs[i]) for i in subset])
         if len(ker) != 1:
             continue
         n = primitive(ker[0])
@@ -543,25 +542,24 @@ def grading_for(generators, ambient):
     nonzero = [f for f in frees if any(f)]
     if not nonzero:
         return (0,) * r
-    span_rank = rank_of([list(f) for f in nonzero])
-    # coordinatize the linear span so the cone is full-dimensional there
-    basis = []
-    for f in nonzero:
-        if rank_of([list(b) for b in basis] + [list(f)]) > len(basis):
-            basis.append(f)
-    mat = [[b[i] for b in basis] for i in range(r)]  # columns = basis
-    _, _, coords = field_eliminate(QQ, mat, nonzero)
-    if None in coords:
-        return None
+    # one elimination with the free parts as columns and as right-hand
+    # sides: free unknowns are set to 0, so a column's own solution has a 1
+    # there exactly when it is a pivot.  The pivots are a basis of the span
+    # (the first column of each new rank), and the solutions restricted to
+    # them are coordinates in which the cone is full-dimensional.
+    mat = [[f[i] for f in nonzero] for i in range(r)]
+    _, _, sols = field_eliminate(QQ, mat, nonzero)
+    pivots = [j for j, x in enumerate(sols) if x[j] == 1]
+    span_rank = len(pivots)
+    coords = [tuple(x[j] for j in pivots) for x in sols]
     normals = facet_normals_rational(coords, span_rank)
-    if normals is None:
-        return None
     w_span = [sum(n[i] for n in normals) for i in range(span_rank)]
     if any(sum(ws * c for ws, c in zip(w_span, f)) <= 0 for f in coords):
         return None
     # pull w back to an integer covector on Z^r: w(x) = w_span . coords(x);
     # only values on the generator span matter, so solve for an integer row.
-    w = _covector_from_span(mat, w_span, r, span_rank)
+    basis = [[row[j] for j in pivots] for row in mat]  # columns = pivots
+    w = _covector_from_span(basis, w_span, r, span_rank)
     if w is None:
         return None
     if any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):

@@ -21,12 +21,12 @@ from .lattice import (
     element_in_subgroup,
     facet_normals,
     grading_for,
+    mat_mul,
     rank_of,
     smith_normal_form,
     solve_rational,
     solve_smith,
     subgroup_shape,
-    unimodular_inverse,
 )
 
 
@@ -113,22 +113,27 @@ class CancellativeMonoid:
         return sum(x * y for x, y in zip(w, a[:r]))
 
     def _slice_data(self, bound):
-        """Incrementally maintained map element -> (witness, degree) covering
-        every monoid element of degree <= bound."""
-        w = self.grading()
-        if w is None:
+        """Map element -> (witness, degree) covering every monoid element of
+        degree <= bound, from one breadth-first search started at 0.
+
+        The witness of an element is the first path the search reaches it
+        by: the factorization with the fewest generators, and among those
+        the lexicographically largest coefficient vector.  Every path to an
+        element stays below its degree, so the witness does not depend on
+        the bound.  A cached slice that covers bound is returned as it is;
+        otherwise the search runs again from 0 and replaces it, so the
+        answer never depends on earlier calls.
+        """
+        cached = self._cache.get("slice")
+        if cached is not None and cached[0] >= bound:
+            return cached[1]
+        if self.grading() is None:
             raise ValueError("slice enumeration needs a positive monoid")
         amb = self.ambient
         gens = self.generators
         degs = [self.degree(g) for g in gens]
-        old_bound, seen = self._cache.get("slice", (-1, None))
-        if seen is None:
-            seen = {amb.zero(): ((0,) * len(gens), 0)}
-            old_bound = 0
-        if old_bound >= bound:
-            return seen
-        dmax = max(degs, default=1)
-        frontier = {el: v for el, v in seen.items() if v[1] > old_bound - dmax}
+        frontier = {amb.zero(): ((0,) * len(gens), 0)}
+        seen = dict(frontier)
         while frontier:
             new = {}
             for el, (coeffs, d) in frontier.items():
@@ -237,11 +242,10 @@ class TorsionQuotient:
         U, D, V = smith_normal_form(A)
         diag = diagonal_of(D)
         r = sum(1 for d in diag if d)
-        # columns of U^{-1} scaled by the elementary divisors span the lattice
-        Uinv = unimodular_inverse(U)
-        basis = []
-        for j in range(r):
-            basis.append(tuple(Uinv[i][j] * diag[j] for i in range(k)))
+        # U A V = D: column j of A V is d_j times column j of U^{-1}, and the
+        # first r of them are a basis of the lattice
+        AV = mat_mul(A, V)
+        basis = [tuple(AV[i][j] for i in range(k)) for j in range(r)]
         self.rank = r
         self._basis = basis
         bmat = [[basis[j][i] for j in range(r)] for i in range(k)]  # k x r
@@ -456,6 +460,11 @@ def member(M, a):
     monoid with units answers through the positive monoid M/U(M), and its
     witness is lifted back to M and checked in the ambient group.  The
     answer is "yes" with a witness, or "no", which is a proof.
+
+    The witness depends only on (M, a).  On a positive monoid it is the
+    factorization with the fewest generators, and among those the
+    lexicographically largest coefficient vector; on a monoid with units it
+    is that factorization in M/U(M), lifted.
     """
     amb = M.ambient
     a = amb.reduce(a)
@@ -696,26 +705,10 @@ def smash(L, N):
             "smash generators are only finite when the second factor is a finite "
             "torsion monoid; L smash N is not finitely generated here"
         )
-    n_elems = _monoid_closure_finite(N)
+    # N is a finite group, so the monoid its generators generate is the group
+    n_elems = _group_closure(list(N.generators), ambN)
     gens = [pair(g, n) for g in L.generators for n in n_elems]
     return CancellativeMonoid(amb, _minimalize_generators(gens, amb))
-
-
-def _monoid_closure_finite(N):
-    elems = {N.ambient.zero()}
-    frontier = [N.ambient.zero()]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in N.generators:
-                x = N.ambient.add(e, g)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-        frontier = new
-        if len(elems) > 100000:
-            raise ValueError("second smash factor is too large")
-    return sorted(elems)
 
 
 def _minimalize_generators(gens, ambient):

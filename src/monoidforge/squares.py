@@ -782,9 +782,6 @@ def build_torsion_splitting(L, n_list, R):
 
     full = smash(L, torsion_group_monoid(tuple(n_list)))
 
-    def a2_key(l, g_prev, g_m):
-        return tuple(l) + tuple(g_prev) + (g_m,)
-
     A2mon = CancellativeMonoid(amb_a2, [g for g in full.generators])
     sprev_gens = list(S_prev.generators)  # tuples: free p + torsion prev
     b1_gens = [tuple(g[:p]) + (0,) + tuple(g[p:]) for g in sprev_gens]
@@ -821,12 +818,11 @@ def build_torsion_splitting(L, n_list, R):
     rho = make_key_map(B2alg, rho_key)
     pi = make_key_map(B2alg, pi_key)
 
-    # Lambda corner: span of J-monomials plus the B-binomials in B1 coords
-    def lambda_basis(d):
+    def j_monomials(d):  # monomials with nonzero L part, in B1 coords
+        return [B1alg.monomial(key) for key in B1alg.keys_upto(d) if any(key[:p])]
+
+    def b_basis(d):  # t^(jn) and the binomials t^(k+n) - t^k, n not dividing k
         out = []
-        for key in B1alg.keys_upto(d):
-            if any(key[:p]):
-                out.append(B1alg.monomial(key))
         tkey = lambda j: (0,) * p + (j,) + (0,) * len(prev)
         j = 0
         while j * n <= d:
@@ -836,6 +832,10 @@ def build_torsion_splitting(L, n_list, R):
             if k % n:
                 out.append(B1alg.monomial(tkey(k + n)) - B1alg.monomial(tkey(k)))
         return out
+
+    # Lambda corner: span of J-monomials plus the B-binomials in B1 coords
+    def lambda_basis(d):
+        return j_monomials(d) + b_basis(d)
 
     def top_fn(elem):  # Lambda -> A2: sum the t-exponents by residue class
         out = {}
@@ -876,23 +876,7 @@ def build_torsion_splitting(L, n_list, R):
 
     # second square: A = span(1, J) inside Lambda; B = R[t^n, t^{n+1}-t, ...]
     def a_basis(d):
-        out = [B1alg.one()]
-        for key in B1alg.keys_upto(d):
-            if any(key[:p]):
-                out.append(B1alg.monomial(key))
-        return out
-
-    def b_basis(d):
-        out = []
-        tkey = lambda j: (0,) * p + (j,) + (0,) * len(prev)
-        j = 0
-        while j * n <= d:
-            out.append(B1alg.monomial(tkey(j * n)))
-            j += 1
-        for k in range(1, d - n + 1):
-            if k % n:
-                out.append(B1alg.monomial(tkey(k + n)) - B1alg.monomial(tkey(k)))
-        return out
+        return [B1alg.one()] + j_monomials(d)
 
     def kill_j(elem):  # Lambda -> B: drop monomials with nonzero L part
         out = {k: c for k, c in elem.coeffs.items() if not any(k[:p])}

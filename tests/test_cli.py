@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 CUSP = {"ambient": {"rank": 1, "torsion": []}, "generators": [[2], [3]]}
 Z2P = {"ambient": {"rank": 2, "torsion": []}, "generators": [[1, 0], [0, 1]]}
@@ -22,11 +25,14 @@ def run_cli(args, files=None, tmp_path=None):
             p.write_text(json.dumps(data))
             paths[name] = str(p)
         args = [paths.get(a, a) for a in args]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "monoidforge.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     return proc
 

@@ -7,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from monoidforge.lattice import (
     AbelianGroupShape,
+    _covector_from_span,
     cone_is_pointed,
     det,
+    diagonal_of,
     element_in_subgroup,
     facet_normals,
+    facet_normals_rational,
+    field_eliminate,
     grading_for,
     integer_kernel,
     mat_mul,
@@ -21,7 +25,9 @@ from monoidforge.lattice import (
     smith_normal_form,
     solve_integer,
     subgroup_shape,
+    unimodular_inverse,
 )
+from monoidforge.rings import QQ
 
 
 def smith_invariants_oracle(m):
@@ -231,6 +237,89 @@ def test_grading_for():
     assert grading_for([(1, 0), (-1, 0)], AbelianGroupShape(2)) is None
     zxz2 = AbelianGroupShape(1, (2,))
     assert grading_for([(0, 1)], zxz2) is None
+
+
+def test_smith_columns_give_inverse_columns():
+    """U A V = D gives A V = U^-1 D: column j of A V is d_j times column j
+    of U^-1 (the torsion-quotient basis), and column j of U^-1 is column j
+    of A V divided by d_j (the conductor's 1-unit generators)."""
+    rng = random.Random(11)
+    for trial in range(200):
+        rows = rng.randint(1, 4)
+        if trial % 2:
+            # triangular relations with diagonal p and extra columns: full
+            # row rank, so every elementary divisor is nonzero
+            p = rng.choice([2, 3, 5])
+            A = [[p if i == j else (rng.randint(-3, 3) if j > i else 0) for j in range(rows)]
+                 for i in range(rows)]
+            extra = rng.randint(0, 2)
+            for row in A:
+                row.extend(rng.randint(-4, 4) for _ in range(extra))
+        else:
+            cols = rng.randint(1, 4)
+            A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        U, D, V = smith_normal_form(A)
+        u_inv = unimodular_inverse(U)
+        AV = mat_mul(A, V)
+        diag = diagonal_of(D)
+        if trial % 2:
+            assert all(diag), A
+        for j, d in enumerate(diag):
+            assert [AV[i][j] for i in range(rows)] == [u_inv[i][j] * d for i in range(rows)]
+            if d:
+                assert all(AV[i][j] % d == 0 for i in range(rows))
+                assert [AV[i][j] // d for i in range(rows)] == [u_inv[i][j] for i in range(rows)]
+
+
+def grading_for_oracle(generators, ambient):
+    """grading_for as it was before one elimination replaced its rank_of
+    calls: a greedy basis of the span, then coordinates against it."""
+    r = ambient.free_rank
+    frees = [tuple(g[:r]) for g in generators]
+    if any(not any(f) and any(g) for f, g in zip(frees, generators)):
+        return None
+    nonzero = [f for f in frees if any(f)]
+    if not nonzero:
+        return (0,) * r
+    span_rank = rank_of([list(f) for f in nonzero])
+    basis = []
+    for f in nonzero:
+        if rank_of([list(b) for b in basis] + [list(f)]) > len(basis):
+            basis.append(f)
+    mat = [[b[i] for b in basis] for i in range(r)]
+    _, _, coords = field_eliminate(QQ, mat, nonzero)
+    if None in coords:
+        return None
+    normals = facet_normals_rational(coords, span_rank)
+    if normals is None:
+        return None
+    w_span = [sum(n[i] for n in normals) for i in range(span_rank)]
+    if any(sum(ws * c for ws, c in zip(w_span, f)) <= 0 for f in coords):
+        return None
+    w = _covector_from_span(mat, w_span, r, span_rank)
+    if w is None:
+        return None
+    if any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):
+        return None
+    return tuple(w)
+
+
+def test_grading_for_against_oracle():
+    rng = random.Random(5)
+    for _ in range(400):
+        r = rng.randint(1, 3)
+        torsion = rng.choice([(), (2,), (3,), (2, 3)])
+        amb = AbelianGroupShape(r, torsion)
+        lo = rng.choice([-2, 0])
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            if gens and rng.random() < 0.25:
+                # the same free part again, with another torsion part
+                free = gens[rng.randrange(len(gens))][:r]
+            else:
+                free = tuple(rng.randint(lo, 3) for _ in range(r))
+            gens.append(tuple(free) + tuple(rng.randrange(d) for d in torsion))
+        assert grading_for(gens, amb) == grading_for_oracle(gens, amb), (amb, gens)
 
 
 def test_rational_feasibility():
