@@ -2,12 +2,13 @@
 solves and inverses (with torsion congruences), subgroup shapes, facet
 normals of rational cones, rational feasibility, the non-negative integer
 solve (an adapter over the membership engine of monoid.py), and field
-elimination (field_eliminate: one Gauss-Jordan reduction of a matrix over
-any field gives its rank, a kernel basis and a solution for every
-right-hand side passed with it).
+elimination: Echelon, a reduced column echelon form grown one column at a
+time, is the one elimination kernel; field_eliminate runs it over the
+columns of a matrix to give its rank, a kernel basis and a solution for
+every right-hand side passed with it.
 
 Integer and rational arithmetic is arbitrary-precision Python int /
-Fraction; field_eliminate computes with the elements and operations of a
+Fraction; Echelon computes with the elements and operations of a
 rings.Ring field.  Matrices are plain lists of lists.
 """
 
@@ -49,10 +50,6 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += c * bt[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
 def det(m):
@@ -237,13 +234,16 @@ def solve_integer(m, b):
 
 
 def solve_smith(snf, b):
-    """solve_integer for a matrix given by its Smith form (U, D, V)."""
+    """solve_integer for a matrix given by its Smith form (U, D, V).
+
+    U is multiplied only by the nonzero entries of b and V only by the
+    nonzero entries of y = D^-1 U b."""
     U, D, V = snf
-    c = mat_vec(U, list(b))
-    cols = len(V)
-    y = [0] * cols
+    nz = [(j, x) for j, x in enumerate(b) if x]
     diag = diagonal_of(D)
-    for i, ci in enumerate(c):
+    ynz = []
+    for i, row in enumerate(U):
+        ci = sum(row[j] * x for j, x in nz)
         d = diag[i] if i < len(diag) else 0
         if d == 0:
             if ci != 0:
@@ -251,8 +251,9 @@ def solve_smith(snf, b):
         else:
             if ci % d != 0:
                 return None
-            y[i] = ci // d
-    return tuple(mat_vec(V, y))
+            if ci:
+                ynz.append((i, ci // d))
+    return tuple(sum(row[i] * y for i, y in ynz) for row in V)
 
 
 def unimodular_inverse(m):
@@ -567,55 +568,135 @@ def grading_for(generators, ambient):
     return tuple(w)
 
 
+def fast_zero(R):
+    """The zero of R for comparisons: a falsy zero (0, Fraction(0)) is
+    compared as the int 0, which is equal and much cheaper for Fractions."""
+    return R.zero() or 0
+
+
+def axpy(R, acc, c, vec, zero=None):
+    """acc += c * vec over the ring R for sparse vectors (dicts key ->
+    nonzero entry), dropping the entries that become zero.  zero, when
+    given, is fast_zero(R)."""
+    if zero is None:
+        zero = fast_zero(R)
+    add, mul = R.add, R.mul
+    for k, a in vec.items():
+        x = add(acc[k], mul(c, a)) if k in acc else mul(c, a)
+        if x == zero:
+            del acc[k]
+        else:
+            acc[k] = x
+
+
+class Echelon:
+    """Reduced column echelon form over a field, grown one column at a time:
+    the one elimination kernel of the package.
+
+    A column is a sparse vector (dict row -> entry) inserted under an id.
+    A column in the span of the pivot columns inserted before it is not
+    kept: insert returns its unique expression in them (dict id ->
+    coefficient), a kernel relation.  Any other column becomes a pivot.
+    Each pivot vector has a 1 on its own pivot row (left implicit) and 0 on
+    the other pivot rows, and is stored with its expression in the pivot
+    columns, so solve reads off the unique expression of a vector in the
+    span of all pivots.  Rows and ids may be any hashable values.
+    """
+
+    def __init__(self, R):
+        self.R = R
+        self._zero = fast_zero(R)
+        self._vecs = []  # pivot i: reduced vector off its pivot row
+        self._exprs = []  # pivot i: that vector in the pivot columns
+        self._pivot = {}  # pivot row -> i
+
+    @property
+    def rank(self):
+        return len(self._vecs)
+
+    def _reduce(self, vec):
+        """(rest, expr) with vec = rest + sum expr[j] * column j; rest is 0 on
+        every pivot row."""
+        zero = self._zero
+        rest = {k: c for k, c in vec.items() if c != zero}
+        expr = {}
+        for k, c in vec.items():
+            i = self._pivot.get(k)
+            if i is None or c == zero:
+                continue
+            # reduced pivot vectors vanish on the other pivot rows, so the
+            # pivot-row entries of rest stay those of vec until cleared here
+            del rest[k]
+            axpy(self.R, rest, self.R.neg(c), self._vecs[i], zero)
+            axpy(self.R, expr, c, self._exprs[i], zero)
+        return rest, expr
+
+    def insert(self, cid, vec):
+        """Insert column cid; its expression in the earlier pivot columns
+        when it lies in their span (the column is then dropped), else None
+        (it is a new pivot)."""
+        rest, expr = self._reduce(vec)
+        if not rest:
+            return expr
+        R = self.R
+        p = next(iter(rest))
+        inv = R.inv(rest.pop(p))
+        v = {k: R.mul(inv, c) for k, c in rest.items()}
+        # the pivot vector is inv * (column cid - sum expr[j] * column j)
+        e = {j: R.neg(R.mul(inv, a)) for j, a in expr.items()}
+        e[cid] = inv
+        for i, w in enumerate(self._vecs):
+            f = w.pop(p, None)
+            if f is not None:
+                neg_f = R.neg(f)
+                axpy(R, w, neg_f, v, self._zero)
+                axpy(R, self._exprs[i], neg_f, e, self._zero)
+        self._pivot[p] = len(self._vecs)
+        self._vecs.append(v)
+        self._exprs.append(e)
+        return None
+
+    def solve(self, vec):
+        """The unique expression of vec in the pivot columns (dict id ->
+        coefficient), or None when vec is outside their span."""
+        rest, expr = self._reduce(vec)
+        return None if rest else expr
+
+
 def field_eliminate(R, A, rhs=()):
-    """Gauss-Jordan elimination of [A | right-hand sides] over the field R,
-    once for all of them.
+    """Elimination of [A | right-hand sides] over the field R, once for all
+    of them, by inserting the columns of A into an Echelon in order.
 
     Returns (rank, kernel, solutions): a basis of {x : A x = 0}, one tuple per
-    free column in order (1 there, 0 on the other free columns, minus that
-    column of the reduced form on the pivots), and for each right-hand side
-    b the solution of A x = b with every free unknown 0, or None when A x = b
-    is inconsistent.
+    free column in order (1 there, 0 on the other free columns, minus the
+    unique expression of that column in the earlier pivot columns), and for
+    each right-hand side b the solution of A x = b with every free unknown 0,
+    or None when A x = b is inconsistent.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    zero, mul, sub = R.zero(), R.mul, R.sub
-    M = [list(A[i]) + [b[i] for b in rhs] for i in range(rows)]
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        for p in range(r, rows):
-            if M[p][c] != zero:
-                break
-        else:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = R.inv(M[r][c])
-        Mr = M[r] = [mul(inv, x) for x in M[r]]
-        for i in range(rows):
-            f = M[i][c]
-            if i != r and f != zero:
-                M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], Mr)]
-        pivots.append(c)
-    rank = len(pivots)
+    zero, one, neg = R.zero(), R.one(), R.neg
+    E = Echelon(R)
     kernel = []
-    one, neg = R.one(), R.neg
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [zero] * cols
-        v[fc] = one
-        for i, c in enumerate(pivots):
-            v[c] = neg(M[i][fc])
-        kernel.append(tuple(v))
+    for c in range(cols):
+        expr = E.insert(c, {i: A[i][c] for i in range(rows)})
+        if expr is not None:
+            v = [zero] * cols
+            v[c] = one
+            for j, a in expr.items():
+                v[j] = neg(a)
+            kernel.append(tuple(v))
     solutions = []
-    for k in range(cols, cols + len(rhs)):
-        if any(M[i][k] != zero for i in range(rank, rows)):
+    for b in rhs:
+        expr = E.solve({i: b[i] for i in range(rows)})
+        if expr is None:
             solutions.append(None)
             continue
         x = [zero] * cols
-        for i, c in enumerate(pivots):
-            x[c] = M[i][k]
+        for j, a in expr.items():
+            x[j] = a
         solutions.append(tuple(x))
-    return rank, kernel, solutions
+    return E.rank, kernel, solutions
 
 
 def solve_rational(mat, b):

@@ -3,26 +3,39 @@ verification.
 
 A square holds four graded/filtered corners (monomial algebras or explicit
 spans inside an ambient algebra) and four maps; verify_cartesian checks, per
-truncation up to the bound, that the top-left corner is exactly the fiber
+truncation up to the bound and in one walk over the degrees, that the
+top-left corner is exactly the fiber
 product of the two legs: exact linear algebra over finite fields and Q
 (complete by linearity), a Smith-form lattice certificate over Z, and a full
 elementwise fiber enumeration whenever the fiber size fits the budget.
 """
 
+import copy
 from dataclasses import dataclass, field
+from itertools import product
 
 from .lattice import (
     AbelianGroupShape,
+    Echelon,
+    axpy,
     diagonal_of,
     field_eliminate,
     integer_kernel,
     smith_normal_form,
     solve_smith,
 )
-from .monoid import CancellativeMonoid, PcMonoid, member, units_submonoid
+from .monoid import CancellativeMonoid, PcMonoid, member, smash, units_submonoid
 from .cones import face_lattice, face_locate
 from .closure import is_normal, is_seminormal
-from .ideals import MonoidIdeal, _predicate_ideal_generators, is_prime, is_radical, radical
+from .ideals import (
+    MonoidIdeal,
+    _predicate_ideal_generators,
+    is_prime,
+    is_radical,
+    prime_decomposition,
+    radical,
+)
+from .rings import QQ
 from .algebra import (
     AlgebraElement,
     CancellativeAlgebra,
@@ -192,96 +205,116 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     sampling); and, over finite rings whenever the fiber size is within the
     budget, a literal enumeration of every fiber element with its unique
     lift re-verified through the maps.
+
+    The truncations are walked once (_CartesianWalk): at degree d only the
+    basis elements that first appear in truncation d are processed.  Each
+    is mapped by its legs once, checked for commutation and containment
+    once, and becomes one column of one of two echelons carried forward
+    from degree to degree: [right | -bottom], whose kernel relations extend
+    a nested fiber basis, and (top, left), whose rank decides injectivity.
+    Each fiber element is enumerated, lifted and re-checked once, at the
+    degree where it first appears.  Over Z, rank and injectivity are read
+    over Q, and while the fiber relations are integral they are a Z-basis
+    of the kernel lattice, which then equals the image lattice when every
+    relation has an integral lift.  A check thus costs about as much as its
+    last truncation alone.
+
+    At the first failing degree the per-truncation check (_check_truncation)
+    runs for that degree alone, on the bases and images already built, to
+    report the same witness and note.  A corner whose truncation d - 1 is
+    not contained in truncation d, or whose basis is linearly dependent,
+    and over Z a fiber relation that is not integral, are checked per
+    truncation from that degree on.
     """
     R = square.ring
+    walk = _CartesianWalk(square, elementwise_budget)
     per_degree = []
-    A1, A2, B1, B2 = (square.corner(n) for n in ("A1", "A2", "B1", "B2"))
-    top, left, right, bottom = (
-        square.maps[n] for n in ("top", "left", "right", "bottom")
-    )
     for d in range(degree_bound + 1):
-        a1b = A1.basis_upto(d)
-        a2b = A2.basis_upto(d)
-        b1b = B1.basis_upto(d)
-        for e in a1b:
-            if right(top(e)) != bottom(left(e)):
-                return CartesianReport(
-                    False, degree_bound, R.kind, "commute", per_degree,
-                    witness=e, note=f"square does not commute at degree {d}",
-                )
-        tX, wit = _express_in_basis([top(e) for e in a1b], a2b, R)
-        if tX is None:
+        entry, failure = walk.step(d)
+        if failure is not None:
+            method, witness, note = failure
             return CartesianReport(
-                False, degree_bound, R.kind, "containment", per_degree,
-                witness=wit, note=f"top image leaves the A2 truncation at degree {d}",
+                False, degree_bound, R.kind, method, per_degree,
+                witness=witness, note=note,
             )
-        lY, wit = _express_in_basis([left(e) for e in a1b], b1b, R)
-        if lY is None:
-            return CartesianReport(
-                False, degree_bound, R.kind, "containment", per_degree,
-                witness=wit, note=f"left image leaves the B1 truncation at degree {d}",
-            )
-        right_imgs = [right(e) for e in a2b]
-        bottom_imgs = [bottom(e) for e in b1b]
-        index = _key_index(right_imgs + bottom_imgs)
-        rows = len(index)
-        n2, n1p, n1 = len(a2b), len(b1b), len(a1b)
-        big = [[R.zero()] * (n2 + n1p) for _ in range(rows)]
-        for j, e in enumerate(right_imgs):
-            for k, c in e.coeffs.items():
-                big[index[k]][j] = c
-        for j, e in enumerate(bottom_imgs):
-            for k, c in e.coeffs.items():
-                big[index[k]][n2 + j] = R.neg(c)
-        # columns of the combined (top, left) map, in basis coordinates
-        lam_cols = [list(x) + list(y) for x, y in zip(tX, lY)]  # one per A1 basis el
-        inj_mat = [[lam_cols[i][j] for i in range(n1)] for j in range(n2 + n1p)]
-        entry = {"degree": d, "dims": {"A1": n1, "A2": n2, "B1": n1p, "B2_keys": rows}}
-        if R.is_field():
-            rank_big, ker_big, _ = field_eliminate(R, big)
-            # one elimination of (top, left) gives its kernel and the lifts
-            # of the fiber basis
-            _, ker_inj, lifts = field_eliminate(R, inj_mat, ker_big)
-            if ker_inj:
-                w = _combine(a1b, ker_inj[0])
-                return CartesianReport(
-                    False, degree_bound, R.kind, "injectivity", per_degree,
-                    witness=w, note=f"(top,left) kernel is nontrivial at degree {d}",
-                )
-            fp_dim = (n2 + n1p) - rank_big
-            if fp_dim != n1:
-                # a fiber vector outside the image of (top, left), if any
-                wvec = next((v for v, x in zip(ker_big, lifts) if x is None), None)
-                w = None
-                if wvec is not None:
-                    w = (_combine(a2b, wvec[:n2]), _combine(b1b, wvec[n2:]))
-                return CartesianReport(
-                    False, degree_bound, R.kind, "dimension", per_degree,
-                    witness=w,
-                    note=f"fiber dimension {fp_dim} != dim A1 = {n1} at degree {d}",
-                )
-            entry["fiber_dim"] = fp_dim
-            if R.finite and R.size() ** fp_dim <= elementwise_budget:
-                res = _elementwise_fiber_check(
-                    R, ker_big, lifts, a1b, a2b, b1b, (top, left)
-                )
-                if res is not True:
-                    return CartesianReport(
-                        False, degree_bound, R.kind, "elementwise", per_degree,
-                        witness=res,
-                        note=f"fiber element without a verified lift at degree {d}",
-                    )
-                entry["elementwise"] = R.size() ** fp_dim
-        else:
-            ok, note, extra = _integer_lattice_check(big, lam_cols, n1, R)
-            if not ok:
-                return CartesianReport(
-                    False, degree_bound, R.kind, "lattice", per_degree,
-                    witness=None, note=f"{note} at degree {d}",
-                )
-            entry.update(extra)
         per_degree.append(entry)
     return CartesianReport(True, degree_bound, R.kind, "exact", per_degree)
+
+
+def _check_truncation(square, d, bases, images, elementwise_budget):
+    """The Cartesian check of truncation d on its own: (entry, None), or
+    (None, (method, witness, note)) for the first failure.  bases are the
+    A1, A2 and B1 bases of the truncation, images the top and left images
+    of the A1 basis, the right images of the A2 basis and the bottom images
+    of the B1 basis."""
+    R = square.ring
+    a1b, a2b, b1b = bases
+    top_imgs, left_imgs, right_imgs, bottom_imgs = images
+    right, bottom = square.maps["right"], square.maps["bottom"]
+    for e, t, l in zip(a1b, top_imgs, left_imgs):
+        if right(t) != bottom(l):
+            return None, ("commute", e, f"square does not commute at degree {d}")
+    tX, wit = _express_in_basis(top_imgs, a2b, R)
+    if tX is None:
+        return None, (
+            "containment", wit, f"top image leaves the A2 truncation at degree {d}"
+        )
+    lY, wit = _express_in_basis(left_imgs, b1b, R)
+    if lY is None:
+        return None, (
+            "containment", wit, f"left image leaves the B1 truncation at degree {d}"
+        )
+    index = _key_index(right_imgs + bottom_imgs)
+    rows = len(index)
+    n2, n1p, n1 = len(a2b), len(b1b), len(a1b)
+    big = [[R.zero()] * (n2 + n1p) for _ in range(rows)]
+    for j, e in enumerate(right_imgs):
+        for k, c in e.coeffs.items():
+            big[index[k]][j] = c
+    for j, e in enumerate(bottom_imgs):
+        for k, c in e.coeffs.items():
+            big[index[k]][n2 + j] = R.neg(c)
+    # columns of the combined (top, left) map, in basis coordinates
+    lam_cols = [list(x) + list(y) for x, y in zip(tX, lY)]  # one per A1 basis el
+    inj_mat = [[lam_cols[i][j] for i in range(n1)] for j in range(n2 + n1p)]
+    entry = {"degree": d, "dims": {"A1": n1, "A2": n2, "B1": n1p, "B2_keys": rows}}
+    if R.is_field():
+        rank_big, ker_big, _ = field_eliminate(R, big)
+        # one elimination of (top, left) gives its kernel and the lifts
+        # of the fiber basis
+        _, ker_inj, lifts = field_eliminate(R, inj_mat, ker_big)
+        if ker_inj:
+            return None, (
+                "injectivity", _combine(a1b, ker_inj[0]),
+                f"(top,left) kernel is nontrivial at degree {d}",
+            )
+        fp_dim = (n2 + n1p) - rank_big
+        if fp_dim != n1:
+            # a fiber vector outside the image of (top, left), if any
+            wvec = next((v for v, x in zip(ker_big, lifts) if x is None), None)
+            w = None
+            if wvec is not None:
+                w = (_combine(a2b, wvec[:n2]), _combine(b1b, wvec[n2:]))
+            return None, (
+                "dimension", w,
+                f"fiber dimension {fp_dim} != dim A1 = {n1} at degree {d}",
+            )
+        entry["fiber_dim"] = fp_dim
+        if R.finite and R.size() ** fp_dim <= elementwise_budget:
+            legs = (square.maps["top"], square.maps["left"])
+            res = _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs)
+            if res is not True:
+                return None, (
+                    "elementwise", res,
+                    f"fiber element without a verified lift at degree {d}",
+                )
+            entry["elementwise"] = R.size() ** fp_dim
+    else:
+        ok, note, extra = _integer_lattice_check(big, lam_cols, n1, R)
+        if not ok:
+            return None, ("lattice", None, f"{note} at degree {d}")
+        entry.update(extra)
+    return entry, None
 
 
 def _combine(basis, coeffs):
@@ -300,8 +333,6 @@ def _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs):
     (top, left) is injective here, so the lift of a fiber element is the
     same combination of the fiber basis lifts as the element is of the
     basis."""
-    from itertools import product
-
     top, left = legs
     n2 = len(a2b)
     pair = lambda v: (_combine(a2b, v[:n2]), _combine(b1b, v[n2:]))
@@ -370,6 +401,339 @@ def _integer_lattice_check(big, lam_cols, n1, R):
     return True, "", extra
 
 
+class _Truncations:
+    """The truncations of one corner.  Each basis element is built once and
+    numbered in order of first appearance; monomials are keyed by their
+    monomial key, span elements by their coefficients."""
+
+    def __init__(self, corner):
+        self.corner = corner
+        self.elems = []
+        self._number = {}
+
+    def upto(self, d):
+        """Numbers of the basis of truncation d, in its order."""
+        c = self.corner
+        if c.monomial:
+            sigs, elems = c.algebra.keys_upto(d), None
+        else:
+            elems = c.basis_upto(d)
+            sigs = [frozenset(e.coeffs.items()) for e in elems]
+        out = []
+        for i, s in enumerate(sigs):
+            n = self._number.get(s)
+            if n is None:
+                n = self._number[s] = len(self.elems)
+                self.elems.append(c.algebra.monomial(s) if elems is None else elems[i])
+            out.append(n)
+        return out
+
+    def combine(self, coeffs, size):
+        """The element sum coeffs[n] * basis element n, or None for an empty
+        truncation (size 0), as _combine gives it."""
+        if not size:
+            return None
+        algebra, out = self.elems[0].algebra, {}
+        for n, c in coeffs.items():
+            axpy(algebra.ring, out, c, self.elems[n].coeffs)
+        return AlgebraElement(algebra, out)
+
+
+class _Coordinates:
+    """Coordinates in the growing basis of one corner, as _express_in_basis
+    computes them against each truncation: a lookup while every basis
+    element is a single monomial with a key of its own, then one solve in
+    an Echelon of the basis (over Q with integral coordinates for Z).  The
+    coordinates are unique, so a target is expressed once, at the degree
+    where it first appears."""
+
+    def __init__(self, R):
+        self.R = R
+        self.single = True
+        self._pos = {}  # key -> (number, coefficient) while single
+        self._added = []
+        self._echelon = None
+
+    def add(self, n, elem):
+        """Append basis element n; False when the basis becomes linearly
+        dependent or needs a solve over a ring other than a field or Z."""
+        self._added.append((n, elem))
+        if self.single:
+            if len(elem.coeffs) == 1:
+                ((k, c),) = elem.coeffs.items()
+                if k not in self._pos:
+                    self._pos[k] = (n, c)
+                    return True
+            R = self.R
+            if not (R.is_field() or R.kind == "Z"):
+                return False
+            self.single = False
+            self._echelon = Echelon(R if R.is_field() else QQ)
+            return all(
+                self._echelon.insert(m, b.coeffs) is None for m, b in self._added
+            )
+        return self._echelon.insert(n, elem.coeffs) is None
+
+    def express(self, target):
+        """{basis number: coefficient} for target, or None when it is
+        outside the span (outside the lattice over Z)."""
+        R = self.R
+        if self.single:
+            one, coords = R.one(), {}
+            for k, c in target.coeffs.items():
+                if k not in self._pos:
+                    return None
+                j, b = self._pos[k]
+                if b == one:
+                    coords[j] = c
+                elif R.is_field():
+                    coords[j] = R.mul(c, R.inv(b))
+                else:
+                    return None
+            return coords
+        coords = self._echelon.solve(target.coeffs)
+        if coords is None or R.is_field():
+            return coords
+        if any(a.denominator != 1 for a in coords.values()):
+            return None
+        return {j: int(a) for j, a in coords.items()}
+
+
+class _CartesianWalk:
+    """State of verify_cartesian carried from one degree to the next."""
+
+    def __init__(self, square, elementwise_budget):
+        self.square = square
+        self.R = R = square.ring
+        self.budget = elementwise_budget
+        self.field = R.is_field()
+        self.corners = [_Truncations(square.corner(n)) for n in ("A1", "A2", "B1")]
+        self.walking = True
+        self.prev = [set(), set(), set()]
+        self.top, self.left, self.right, self.bottom = {}, {}, {}, {}
+        self.coords = (_Coordinates(R), _Coordinates(R))  # A2, B1
+        F = R if self.field else QQ
+        # [right | -bottom], columns ("a", A2 number) and ("b", B1 number);
+        # (top, left), columns A1 numbers, rows the columns of the first
+        self.big = Echelon(F)
+        self.lam = Echelon(F)
+        self.b2_keys = set()
+        self.relations = []  # nested fiber basis: kernel relations of big
+        self.lifts = []  # lifts of the first relations through (top, left)
+        self.enumerated = None  # relations whose span has been enumerated
+        if not self.field:
+            if R.kind.startswith("Z/"):
+                half = R.n // 2
+                self.to_int = lambda x: int(x) - R.n if int(x) > half else int(x)
+            else:
+                self.to_int = int
+            self.big_cols = {}  # column -> {B2 key: int}
+
+    def map_basis(self, ids):
+        """Apply the legs to the basis elements of a truncation that have no
+        images yet."""
+        maps = self.square.maps
+        for T, i, legs in zip(
+            self.corners, ids,
+            (("top", "left"), ("right",), ("bottom",)),
+        ):
+            for leg in legs:
+                imgs = getattr(self, leg)
+                for n in i:
+                    if n not in imgs:
+                        imgs[n] = maps[leg](T.elems[n])
+
+    def images(self, ids):
+        """Bases and images of a truncation for _check_truncation."""
+        self.map_basis(ids)
+        i1, i2, i1p = ids
+        bases = [[T.elems[n] for n in i] for T, i in zip(self.corners, ids)]
+        imgs = (
+            [self.top[n] for n in i1], [self.left[n] for n in i1],
+            [self.right[n] for n in i2], [self.bottom[n] for n in i1p],
+        )
+        return bases, imgs
+
+    def step(self, d):
+        ids = [T.upto(d) for T in self.corners]
+        if self.walking:
+            self.walking = all(
+                len(set(i)) == len(i) and p <= set(i) for p, i in zip(self.prev, ids)
+            )
+        new = [[n for n in i if n not in p] for i, p in zip(ids, self.prev)]
+        self.prev = [set(i) for i in ids]
+        if self.walking:
+            for coords, T, ns in zip(self.coords, self.corners[1:], new[1:]):
+                if not all(coords.add(n, T.elems[n]) for n in ns):
+                    self.walking = False
+        if not self.walking:
+            return _check_truncation(self.square, d, *self.images(ids), self.budget)
+        entry, failure = self._walk(d, ids, new)
+        if failure == "per truncation":
+            self.walking = False
+        if failure in ("rerun", "per truncation"):
+            entry, rerun = _check_truncation(
+                self.square, d, *self.images(ids), self.budget
+            )
+            assert failure != "rerun" or rerun is not None, (
+                f"walk and truncation disagree at degree {d}"
+            )
+            failure = rerun
+        return entry, failure
+
+    def _walk(self, d, ids, new):
+        """Degree d from the new basis elements alone: (entry, None); (None,
+        failure) when a new element fails commutation or containment;
+        (None, "rerun") when the degree fails otherwise; or (None, "per
+        truncation") over Z when a fiber relation is not integral."""
+        R, right, bottom = self.R, self.square.maps["right"], self.square.maps["bottom"]
+        new1, new2, new1p = new
+        self.map_basis(new)
+        for n in new1:
+            if right(self.top[n]) != bottom(self.left[n]):
+                e = self.corners[0].elems[n]
+                return None, ("commute", e, f"square does not commute at degree {d}")
+        cols = {}
+        for imgs, coords, prefix, what in (
+            (self.top, self.coords[0], "a", "top image leaves the A2"),
+            (self.left, self.coords[1], "b", "left image leaves the B1"),
+        ):
+            for n in new1:
+                x = coords.express(imgs[n])
+                if x is None:
+                    return None, ("containment", imgs[n], f"{what} truncation at degree {d}")
+                col = cols.setdefault(n, {})
+                for j, c in x.items():
+                    col[(prefix, j)] = c
+        n1, n2, n1p = (len(i) for i in ids)
+        for n in new2:
+            self.b2_keys.update(self.right[n].coeffs)
+        for n in new1p:
+            self.b2_keys.update(self.bottom[n].coeffs)
+        entry = {"degree": d, "dims": {
+            "A1": n1, "A2": n2, "B1": n1p, "B2_keys": len(self.b2_keys)}}
+        big = [(("a", n), dict(self.right[n].coeffs)) for n in new2]
+        big += [(("b", n), {k: R.neg(c) for k, c in self.bottom[n].coeffs.items()})
+                for n in new1p]
+        lam = [(n, cols[n]) for n in new1]
+        if not self.field:
+            try:
+                big = [(j, self._to_ints(col)) for j, col in big]
+                lam = [(n, self._to_ints(col)) for n, col in lam]
+            except (TypeError, ValueError):
+                return None, "rerun"
+        F = self.big.R
+        for j, col in big:
+            expr = self.big.insert(j, col)
+            if expr is not None:
+                rel = {k: F.neg(a) for k, a in expr.items()}
+                rel[j] = F.one()
+                self.relations.append(rel)
+                if not self.field and any(a.denominator != 1 for a in rel.values()):
+                    return None, "per truncation"
+        for n, col in lam:
+            if self.lam.insert(n, col) is not None:
+                return None, "rerun"  # (top, left) is not injective
+        fp_dim = len(self.relations)
+        if fp_dim != n1:
+            return None, "rerun"
+        if self.field:
+            entry["fiber_dim"] = fp_dim
+            if R.finite and R.size() ** fp_dim <= self.budget:
+                if not (self._lift_new_relations() and self._new_fiber_elements(ids)):
+                    return None, "rerun"
+                entry["elementwise"] = R.size() ** fp_dim
+            return entry, None
+        for j, col in big:
+            self.big_cols[j] = col
+        if not self._lattices_equal(ids, lam):
+            return None, "rerun"
+        entry["lattice_rank"] = n1
+        if R.kind.startswith("Z/"):
+            entry["universal"] = True
+        return entry, None
+
+    def _to_ints(self, col):
+        """The integer (balanced, for Z/n) lifts of the entries of col."""
+        out = {}
+        for k, c in col.items():
+            x = self.to_int(c)
+            if x:
+                out[k] = x
+        return out
+
+    def _lift_new_relations(self):
+        """Lift each fiber relation not lifted yet through (top, left), once;
+        False when one is outside the image."""
+        for rel in self.relations[len(self.lifts):]:
+            x = self.lam.solve(rel)
+            if x is None:
+                return False
+            self.lifts.append(x)
+        return True
+
+    def _lattices_equal(self, ids, lam):
+        """Over Z (and lifted Z/n), given injectivity, equal ranks and
+        integral fiber relations: the image lattice I of (top, left) equals
+        the kernel lattice K of [right | -bottom].  The new image columns
+        must lie in K.  The relations are a Z-basis of K (each is 1 on its
+        own dependent column and 0 on the others), so K lies in I exactly
+        when each relation has an integral lift, checked once per relation.
+        For Z/n the Smith diagonal of [right | -bottom] must lie in {0, 1}."""
+        for _, col in lam:
+            acc = {}
+            for j, a in col.items():
+                for k, b in self.big_cols[j].items():
+                    acc[k] = acc.get(k, 0) + a * b
+            if any(acc.values()):
+                return False
+        done = len(self.lifts)
+        if not self._lift_new_relations():
+            return False
+        if any(a.denominator != 1 for x in self.lifts[done:] for a in x.values()):
+            return False
+        if self.R.kind.startswith("Z/"):
+            cols = [("a", n) for n in ids[1]] + [("b", n) for n in ids[2]]
+            keys = sorted(self.b2_keys)
+            big_i = [[self.big_cols[j].get(k, 0) for j in cols] for k in keys]
+            _, D, _ = smith_normal_form(big_i)
+            if any(x not in (0, 1) for x in diagonal_of(D)):
+                return False
+        return True
+
+    def _new_fiber_elements(self, ids):
+        """Enumerate the fiber elements that are new at this degree (all of
+        them the first time), each a combination of the fiber relations,
+        lift it as the same combination of their lifts and re-check the lift
+        through the maps; False at the first failure."""
+        R, sq = self.R, self.square
+        A1, A2, B1 = self.corners
+        n1, n2, n1p = (len(i) for i in ids)
+        rels, lifts = self.relations, self.lifts
+        old, f = self.enumerated, len(rels)
+        self.enumerated = f
+        zero, elems = R.zero(), R.elements()
+        if old is None:
+            old, fresh = 0, list(product(elems, repeat=f))
+        else:
+            fresh = [c for c in product(elems, repeat=f - old)
+                     if any(x != zero for x in c)]
+        top, left = sq.maps["top"], sq.maps["left"]
+        for head in product(elems, repeat=old):
+            for tail in fresh:
+                v, sol = {}, {}
+                for c, rel, x in zip(head + tail, rels, lifts):
+                    if c != zero:
+                        axpy(R, v, c, rel)
+                        axpy(R, sol, c, x)
+                lift = A1.combine(sol, n1)
+                want_a2 = A2.combine({n: a for (s, n), a in v.items() if s == "a"}, n2)
+                want_b1 = B1.combine({n: a for (s, n), a in v.items() if s == "b"}, n1p)
+                if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
+                    return False
+        return True
+
+
 def quotient_map_apply(square, leg, u):
     """Apply one of the four legs of a square to an algebra element."""
     if leg not in square.maps:
@@ -425,11 +789,15 @@ def build_seminormal_step(M, a, R):
         raise ValueError("seminormal step requires a positive extension")
     w = Mb.degree
 
+    conductor_cache = {}
+
     def in_conductor(key):
-        return (
-            member(Mb, amb.sub(key, two)).is_yes
-            or member(Mb, amb.sub(key, three)).is_yes
-        )
+        if key not in conductor_cache:
+            conductor_cache[key] = (
+                member(Mb, amb.sub(key, two)).is_yes
+                or member(Mb, amb.sub(key, three)).is_yes
+            )
+        return conductor_cache[key]
 
     A = CancellativeAlgebra(M, R, weight_fn=w)
     B = CancellativeAlgebra(Mb, R, weight_fn=w)
@@ -659,11 +1027,17 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
         raise ValueError("second ideal must be radical")
     w = _shared_weight(N)
 
+    p_cache, q_cache = {}, {}
+
     def in_p(key):
-        return P.member(key).is_yes
+        if key not in p_cache:
+            p_cache[key] = P.member(key).is_yes
+        return p_cache[key]
 
     def in_q(key):
-        return Qd.member(key).is_yes
+        if key not in q_cache:
+            q_cache[key] = Qd.member(key).is_yes
+        return q_cache[key]
 
     def in_i(key):
         return in_p(key) and in_q(key)
@@ -725,8 +1099,6 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
 def build_prime_intersection_from_radical(N, ideal_gens, R, degree_bound=10):
     """MT-4 split of a radical ideal: I = p1 cap (p2 cap ... cap pr) with the
     primes from its decomposition; needs at least two primes."""
-    from .ideals import prime_decomposition
-
     dec = prime_decomposition(MonoidIdeal(N, ideal_gens), degree_bound)
     if len(dec.primes) < 2:
         raise ValueError(
@@ -770,8 +1142,6 @@ def build_torsion_splitting(L, n_list, R):
     n = n_list[-1]
     prev = tuple(n_list[:-1])
     p = L.ambient.free_rank
-    from .monoid import smash
-
     S_prev = smash(L, torsion_group_monoid(prev)) if prev else L
     # coordinate layouts ------------------------------------------------
     #   A2/B2: Z^p  x prod_{i<m} Z/n_i x Z/n_m   (B2 = full product monoid)
@@ -921,7 +1291,6 @@ def build_torsion_splitting(L, n_list, R):
 def corrupt_square(square):
     """Negative control: zero the top map on one nonzero monomial of the
     top-left corner, breaking the fiber-product property with a witness."""
-    import copy
 
     bad = copy.copy(square)
     bad.maps = dict(square.maps)
@@ -977,7 +1346,9 @@ def verify_reduced_iso(square, degree_bound=10):
     """(A/I)_red -> (B/I)_red is an isomorphism: the non-nilpotent monomials
     of the two quotient corners agree degree by degree, and the induced map
     is the identity on them.  Nilpotency of a monomial class is decided
-    exactly through the certified radical of the conductor ideal."""
+    exactly through the certified radical of the conductor ideal.  Each key
+    up to the bound is classified once; truncation d holds the keys of
+    weight <= d."""
     if square.kind != "seminormal-step":
         raise ValueError("verify_reduced_iso applies to seminormal-step squares")
     desc = square.description
@@ -991,15 +1362,22 @@ def verify_reduced_iso(square, degree_bound=10):
     radB = radical(EB, degree_bound=max(degree_bound, 12))
     AmodI = square.corner("B1").algebra
     BmodI = square.corner("B2").algebra
-    per_degree = []
-    for d in range(degree_bound + 1):
-        a_alive = set(AmodI.keys_upto(d))
-        b_alive = set(BmodI.keys_upto(d))
-        a_red = {k for k in a_alive if not radA.ideal.member(k).is_yes}
-        b_red = {k for k in b_alive if not radB.ideal.member(k).is_yes}
-        if a_red != b_red:
-            return ReducedIsoReport(False, degree_bound, per_degree, [], [])
-        per_degree.append({"degree": d, "reduced_classes": len(a_red)})
+    # reduced classes by weight; a key in both corners has the same weight
+    a_red = {k: AmodI.weight(k) for k in AmodI.keys_upto(degree_bound)
+             if not radA.ideal.member(k).is_yes}
+    b_red = {k: BmodI.weight(k) for k in BmodI.keys_upto(degree_bound)
+             if not radB.ideal.member(k).is_yes}
+    first_bad = min(
+        [a_red[k] for k in a_red.keys() - b_red.keys()]
+        + [b_red[k] for k in b_red.keys() - a_red.keys()],
+        default=degree_bound + 1,
+    )
+    per_degree = [
+        {"degree": d, "reduced_classes": sum(1 for w in a_red.values() if w <= d)}
+        for d in range(min(first_bad, degree_bound + 1))
+    ]
+    if first_bad <= degree_bound:
+        return ReducedIsoReport(False, degree_bound, per_degree, [], [])
     return ReducedIsoReport(
         True,
         degree_bound,

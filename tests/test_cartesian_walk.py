@@ -1,0 +1,438 @@
+"""verify_cartesian walks the truncations once; the per-truncation check it
+replaced is kept here verbatim as the oracle (verify_cartesian,
+_combine and _elementwise_fiber_check below, as they stood before the walk),
+and so is the per-degree verify_reduced_iso.
+
+Every canonical report must agree at bound 10: the six builders over F2,
+F3, F4, F5, Q, Z and Z/6 (a ValueError counts as an answer), their
+corrupt_square controls, "shrunk" controls whose top-left truncations are
+not nested, a square whose commutation first fails at degree 2, one whose
+top map is wrong only on a fiber element that is not a basis element (only
+the elementwise enumeration sees it), and elementwise budgets 0, 512 and
+4096; over Z also two hand-made squares whose fiber relations are not
+integral (one Cartesian, one whose image lattice has index 2; both are
+checked per truncation) and one with integral relations and an index-2
+image.  A counting test pins that each fiber element is lifted and
+re-checked through the top map once over the whole walk.
+"""
+
+import copy
+import json
+from itertools import product
+
+import pytest
+
+from monoidforge import squares
+from monoidforge.algebra import AlgebraElement, CancellativeAlgebra, MonomialQuotientAlgebra
+from monoidforge.ideals import MonoidIdeal, radical
+from monoidforge.lattice import AbelianGroupShape, field_eliminate
+from monoidforge.monoid import CancellativeMonoid
+from monoidforge.rings import GF, QQ, ZZ, IntegerModRing
+from monoidforge.squares import (
+    CartesianReport,
+    Corner,
+    MilnorSquare,
+    ReducedIsoReport,
+    _express_in_basis,
+    _integer_lattice_check,
+    _key_index,
+    build_face_filtration,
+    build_pc,
+    build_positive_split,
+    build_prime_intersection,
+    build_seminormal_step,
+    build_torsion_splitting,
+    corrupt_square,
+)
+
+BOUND = 10
+RINGS = [GF(2), GF(3), GF(4), GF(5), QQ, ZZ, IntegerModRing(6)]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-truncation check, verbatim
+
+
+def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
+    """Exhaustive per-truncation Cartesian check with failure witnesses.
+
+    Per truncation: commutation on the A1 basis; injectivity of (top, left);
+    fiber-product dimension/lattice equality (complete by linearity, no
+    sampling); and, over finite rings whenever the fiber size is within the
+    budget, a literal enumeration of every fiber element with its unique
+    lift re-verified through the maps.
+    """
+    R = square.ring
+    per_degree = []
+    A1, A2, B1, B2 = (square.corner(n) for n in ("A1", "A2", "B1", "B2"))
+    top, left, right, bottom = (
+        square.maps[n] for n in ("top", "left", "right", "bottom")
+    )
+    for d in range(degree_bound + 1):
+        a1b = A1.basis_upto(d)
+        a2b = A2.basis_upto(d)
+        b1b = B1.basis_upto(d)
+        for e in a1b:
+            if right(top(e)) != bottom(left(e)):
+                return CartesianReport(
+                    False, degree_bound, R.kind, "commute", per_degree,
+                    witness=e, note=f"square does not commute at degree {d}",
+                )
+        tX, wit = _express_in_basis([top(e) for e in a1b], a2b, R)
+        if tX is None:
+            return CartesianReport(
+                False, degree_bound, R.kind, "containment", per_degree,
+                witness=wit, note=f"top image leaves the A2 truncation at degree {d}",
+            )
+        lY, wit = _express_in_basis([left(e) for e in a1b], b1b, R)
+        if lY is None:
+            return CartesianReport(
+                False, degree_bound, R.kind, "containment", per_degree,
+                witness=wit, note=f"left image leaves the B1 truncation at degree {d}",
+            )
+        right_imgs = [right(e) for e in a2b]
+        bottom_imgs = [bottom(e) for e in b1b]
+        index = _key_index(right_imgs + bottom_imgs)
+        rows = len(index)
+        n2, n1p, n1 = len(a2b), len(b1b), len(a1b)
+        big = [[R.zero()] * (n2 + n1p) for _ in range(rows)]
+        for j, e in enumerate(right_imgs):
+            for k, c in e.coeffs.items():
+                big[index[k]][j] = c
+        for j, e in enumerate(bottom_imgs):
+            for k, c in e.coeffs.items():
+                big[index[k]][n2 + j] = R.neg(c)
+        # columns of the combined (top, left) map, in basis coordinates
+        lam_cols = [list(x) + list(y) for x, y in zip(tX, lY)]  # one per A1 basis el
+        inj_mat = [[lam_cols[i][j] for i in range(n1)] for j in range(n2 + n1p)]
+        entry = {"degree": d, "dims": {"A1": n1, "A2": n2, "B1": n1p, "B2_keys": rows}}
+        if R.is_field():
+            rank_big, ker_big, _ = field_eliminate(R, big)
+            # one elimination of (top, left) gives its kernel and the lifts
+            # of the fiber basis
+            _, ker_inj, lifts = field_eliminate(R, inj_mat, ker_big)
+            if ker_inj:
+                w = _combine(a1b, ker_inj[0])
+                return CartesianReport(
+                    False, degree_bound, R.kind, "injectivity", per_degree,
+                    witness=w, note=f"(top,left) kernel is nontrivial at degree {d}",
+                )
+            fp_dim = (n2 + n1p) - rank_big
+            if fp_dim != n1:
+                # a fiber vector outside the image of (top, left), if any
+                wvec = next((v for v, x in zip(ker_big, lifts) if x is None), None)
+                w = None
+                if wvec is not None:
+                    w = (_combine(a2b, wvec[:n2]), _combine(b1b, wvec[n2:]))
+                return CartesianReport(
+                    False, degree_bound, R.kind, "dimension", per_degree,
+                    witness=w,
+                    note=f"fiber dimension {fp_dim} != dim A1 = {n1} at degree {d}",
+                )
+            entry["fiber_dim"] = fp_dim
+            if R.finite and R.size() ** fp_dim <= elementwise_budget:
+                res = _elementwise_fiber_check(
+                    R, ker_big, lifts, a1b, a2b, b1b, (top, left)
+                )
+                if res is not True:
+                    return CartesianReport(
+                        False, degree_bound, R.kind, "elementwise", per_degree,
+                        witness=res,
+                        note=f"fiber element without a verified lift at degree {d}",
+                    )
+                entry["elementwise"] = R.size() ** fp_dim
+        else:
+            ok, note, extra = _integer_lattice_check(big, lam_cols, n1, R)
+            if not ok:
+                return CartesianReport(
+                    False, degree_bound, R.kind, "lattice", per_degree,
+                    witness=None, note=f"{note} at degree {d}",
+                )
+            entry.update(extra)
+        per_degree.append(entry)
+    return CartesianReport(True, degree_bound, R.kind, "exact", per_degree)
+
+
+def _combine(basis, coeffs):
+    if not basis:
+        return None
+    out = basis[0].algebra.zero() if hasattr(basis[0], "algebra") else None
+    for b, c in zip(basis, coeffs):
+        out = out + b.scale(c)
+    return out
+
+
+def _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs):
+    """Enumerate every fiber element, lift it through (top, left), and
+    re-verify the lift at the element level; True or a witness pair.
+
+    (top, left) is injective here, so the lift of a fiber element is the
+    same combination of the fiber basis lifts as the element is of the
+    basis."""
+    from itertools import product
+
+    top, left = legs
+    n2 = len(a2b)
+    pair = lambda v: (_combine(a2b, v[:n2]), _combine(b1b, v[n2:]))
+    for v, x in zip(ker_big, lifts):
+        if x is None:
+            return pair(v)
+    zero = R.zero()
+    dim, n1 = n2 + len(b1b), len(a1b)
+    for combo in product(R.elements(), repeat=len(ker_big)):
+        v = [zero] * dim
+        sol = [zero] * n1
+        for c, kvec, x in zip(combo, ker_big, lifts):
+            if c == zero:
+                continue
+            for j in range(dim):
+                v[j] = R.add(v[j], R.mul(c, kvec[j]))
+            for j in range(n1):
+                sol[j] = R.add(sol[j], R.mul(c, x[j]))
+        lift = _combine(a1b, sol)
+        want_a2, want_b1 = pair(v)
+        if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
+            return (want_a2, want_b1)
+    return True
+
+
+def verify_reduced_iso(square, degree_bound=10):
+    """(A/I)_red -> (B/I)_red is an isomorphism: the non-nilpotent monomials
+    of the two quotient corners agree degree by degree, and the induced map
+    is the identity on them.  Nilpotency of a monomial class is decided
+    exactly through the certified radical of the conductor ideal."""
+    if square.kind != "seminormal-step":
+        raise ValueError("verify_reduced_iso applies to seminormal-step squares")
+    desc = square.description
+    Malg = square.corner("A1").algebra
+    Balg = square.corner("A2").algebra
+    M, Mb = Malg.M, Balg.M
+    two, three = tuple(desc["conductor"][0]), tuple(desc["conductor"][1])
+    EA = MonoidIdeal(M, [two, three])
+    EB = MonoidIdeal(Mb, [two, three])
+    radA = radical(EA, degree_bound=max(degree_bound, 12))
+    radB = radical(EB, degree_bound=max(degree_bound, 12))
+    AmodI = square.corner("B1").algebra
+    BmodI = square.corner("B2").algebra
+    per_degree = []
+    for d in range(degree_bound + 1):
+        a_alive = set(AmodI.keys_upto(d))
+        b_alive = set(BmodI.keys_upto(d))
+        a_red = {k for k in a_alive if not radA.ideal.member(k).is_yes}
+        b_red = {k for k in b_alive if not radB.ideal.member(k).is_yes}
+        if a_red != b_red:
+            return ReducedIsoReport(False, degree_bound, per_degree, [], [])
+        per_degree.append({"degree": d, "reduced_classes": len(a_red)})
+    return ReducedIsoReport(
+        True,
+        degree_bound,
+        per_degree,
+        [list(g) for g in radA.ideal.generators],
+        [list(g) for g in radB.ideal.generators],
+    )
+
+
+# ---------------------------------------------------------------------------
+# squares
+
+
+def M(amb, gens):
+    return CancellativeMonoid(amb, gens)
+
+
+Z1, Z2 = AbelianGroupShape(1), AbelianGroupShape(2)
+
+
+def six_squares(R):
+    """The acceptance suite's instances of the six builders over R."""
+    z2p = M(Z2, [(1, 0), (0, 1)])
+    s1, s2 = build_torsion_splitting(M(Z1, [(1,)]), [2], R)
+    return [
+        ("seminormal-step", build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), R)),
+        ("positive-split", build_positive_split(M(Z2, [(1, 0), (-1, 0), (0, 1)]), R)),
+        ("pc", build_pc(z2p, [(1, 1)], R)),
+        ("face-filtration", build_face_filtration(z2p, 2, R, kernel_bound=BOUND)[0]),
+        ("torsion-splitting-1", s1),
+        ("torsion-splitting-2", s2),
+        ("prime-intersection", build_prime_intersection(z2p, [(1, 0)], [(0, 1)], R)),
+    ]
+
+
+def shrunk_square(square):
+    """The top-left truncations of positive degree lose their first basis
+    element, so truncation d - 1 is not contained in truncation d."""
+    bad = copy.copy(square)
+    A1 = square.corner("A1")
+    bad.corners = dict(square.corners)
+    bad.corners["A1"] = Corner(
+        A1.name + "-shrunk",
+        ambient=A1.ambient,
+        basis_fn=lambda d: A1.basis_upto(d)[1:] if d else A1.basis_upto(d),
+    )
+    return bad
+
+
+def late_noncommuting(square, key):
+    """The left leg also sends the monomial at key to 1 in R: linear, but
+    the square stops commuting at the degree of key."""
+    bad = copy.copy(square)
+    bad.maps = dict(square.maps)
+    left, B1 = square.maps["left"], square.corner("B1").algebra
+    bad.maps["left"] = lambda e: (
+        left(e) + B1.elem([(B1.zero_key(), e.coeffs[key])]) if key in e.coeffs else left(e)
+    )
+    return bad
+
+
+def wrong_on(square, element):
+    """The top leg is wrong on one element of A1 only (not linear): every
+    basis check passes and only the fiber enumeration can see it."""
+    bad = copy.copy(square)
+    bad.maps = dict(square.maps)
+    top = square.maps["top"]
+    bad.maps["top"] = lambda e: top(e) + top(e) if e == element else top(e)
+    return bad
+
+
+def canon(square, **kw):
+    """Canonical report JSON of the walk and of the oracle."""
+    out = []
+    for check in (squares.verify_cartesian, verify_cartesian):
+        try:
+            rep = check(square, degree_bound=BOUND, **kw).to_json()
+        except ValueError as exc:
+            rep = {"error": f"ValueError: {exc}"}
+        out.append(json.dumps(rep, sort_keys=True, separators=(",", ":")))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.kind)
+def test_walk_matches_oracle_on_six_squares_and_controls(R):
+    for kind, sq in six_squares(R):
+        walk, oracle = canon(sq)
+        assert walk == oracle, (kind, walk, oracle)
+        for name, control in (("corrupted", corrupt_square), ("shrunk", shrunk_square)):
+            walk, oracle = canon(control(sq))
+            assert walk == oracle, (kind, name, walk, oracle)
+
+
+@pytest.mark.parametrize(
+    "q, budget", [(2, 0), (3, 0), (4, 0), (5, 0), (2, 4096), (4, 4096)]
+)
+def test_walk_matches_oracle_for_elementwise_budgets(q, budget):
+    for kind, sq in six_squares(GF(q)):
+        walk, oracle = canon(sq, elementwise_budget=budget)
+        assert walk == oracle, (kind, budget, walk, oracle)
+    sq = build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), GF(q))
+    walk, oracle = canon(shrunk_square(sq), elementwise_budget=budget)
+    assert walk == oracle
+
+
+@pytest.mark.parametrize("R", RINGS, ids=lambda R: R.kind)
+def test_commutation_first_failing_at_degree_two(R):
+    sq = late_noncommuting(build_pc(M(Z2, [(1, 0), (0, 1)]), [(1, 1)], R), (1, 1))
+    walk, oracle = canon(sq)
+    assert walk == oracle
+    rep = json.loads(walk)
+    assert rep["method"] == "commute" and len(rep["per_degree"]) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fiber_element_that_is_not_a_basis_element(q):
+    sq = build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), GF(q))
+    A = sq.corner("A1").algebra
+    bad = wrong_on(sq, A.elem([((0,), 1), ((2,), 1)]))
+    walk, oracle = canon(bad, elementwise_budget=4096)
+    assert walk == oracle
+    rep = json.loads(walk)
+    assert rep["method"] == "elementwise" and len(rep["per_degree"]) == 2
+
+
+def counted(square):
+    """The square with its top leg counting its calls."""
+    out = copy.copy(square)
+    out.maps = dict(square.maps)
+    top, calls = square.maps["top"], [0]
+
+    def counting(e):
+        calls[0] += 1
+        return top(e)
+
+    out.maps["top"] = counting
+    return out, calls
+
+
+@pytest.mark.parametrize("q", [2, 4, 5])
+def test_each_fiber_element_is_checked_once(q):
+    """top runs once per A1 basis element (its image) and once per fiber
+    element (the re-check of its lift), fiber elements counted up to the
+    last degree within the budget; the oracle checks every truncation's
+    fiber again."""
+    for kind, sq in six_squares(GF(q)):
+        sq, calls = counted(sq)
+        rep = squares.verify_cartesian(sq, degree_bound=BOUND, elementwise_budget=4096)
+        assert rep.ok, kind
+        checked = [e["elementwise"] for e in rep.per_degree if "elementwise" in e]
+        assert calls[0] == rep.per_degree[-1]["dims"]["A1"] + max(checked, default=0), kind
+
+
+def scaled_square(r, t, s_):
+    """Over Z: A1 = A2 = Z[x], B1 = B2 = Z; top multiplies by t, left takes
+    s_ times the constant term, right r times the constant term, bottom is
+    the identity.  The fiber is {(a, b) : r a_0 = b}; it is the image of
+    (top, left) exactly when t = 1 and s_ = r."""
+    R = ZZ
+    Zx = CancellativeAlgebra(M(Z1, [(1,)]), R)
+    Rz = CancellativeAlgebra(M(AbelianGroupShape(0), []), R)
+    zero1, zero0 = (0,), ()
+
+    def const(e, c):
+        x = e.coeffs.get(zero1)
+        return Rz.elem([(zero0, c * x)]) if x else Rz.zero()
+
+    corners = {
+        "A1": Corner("Z[x]", algebra=Zx),
+        "A2": Corner("Z[x]", algebra=Zx),
+        "B1": Corner("Z", algebra=Rz),
+        "B2": Corner("Z", algebra=Rz),
+    }
+    maps = {
+        "top": lambda e: e.scale(t),
+        "left": lambda e: const(e, s_),
+        "right": lambda e: const(e, r),
+        "bottom": lambda e: e,
+    }
+    return MilnorSquare("scaled", corners, maps, ("bottom",), R)
+
+
+@pytest.mark.parametrize("r, t, s_", [(2, 1, 2), (2, 2, 4), (1, 2, 2), (1, 1, 1)])
+def test_integer_lattices_with_and_without_an_integral_fiber_basis(r, t, s_):
+    walk, oracle = canon(scaled_square(r, t, s_))
+    assert walk == oracle
+    assert json.loads(walk)["cartesian"] == (t == 1 and s_ == r)
+
+
+def test_reduced_iso_per_degree_matches_oracle():
+    m23 = M(Z1, [(2,), (3,)])
+    m4567 = M(Z1, [(4,), (5,), (6,), (7,)])
+    for q in (2, 3, 5):
+        for sq in (build_seminormal_step(m23, (1,), GF(q)),
+                   build_seminormal_step(m4567, (2,), GF(q))):
+            for bound in (0, 6, 10):
+                got = squares.verify_reduced_iso(sq, degree_bound=bound).to_json()
+                assert got == verify_reduced_iso(sq, degree_bound=bound).to_json()
+    # a B/I corner that kills everything: the classes differ at degree 0
+    sq = build_seminormal_step(m23, (1,), GF(2))
+    bad = copy.copy(sq)
+    bad.corners = dict(sq.corners)
+    Mb = sq.corner("A2").algebra.M
+    bad.corners["B2"] = Corner(
+        "B/B", algebra=MonomialQuotientAlgebra(Mb, GF(2), lambda k: True, "B/B")
+    )
+    got = squares.verify_reduced_iso(bad, degree_bound=6)
+    assert got.to_json() == verify_reduced_iso(bad, degree_bound=6).to_json()
+    assert not got.ok and got.per_degree == []

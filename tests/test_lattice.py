@@ -24,6 +24,7 @@ from monoidforge.lattice import (
     rank_of,
     smith_normal_form,
     solve_integer,
+    solve_smith,
     subgroup_shape,
     unimodular_inverse,
 )
@@ -326,3 +327,51 @@ def test_rational_feasibility():
     assert nonneg_rational_feasible([(2,), (3,)], [7]) is True
     assert nonneg_rational_feasible([(2,), (3,)], [-1]) is False
     assert nonneg_rational_feasible([(1, 1), (1, -1)], [0, 5]) is False
+
+
+def oracle_solve_smith(snf, b):
+    """solve_smith as it stood with two dense matrix-vector products."""
+    mat_vec = lambda a, v: [sum(c * x for c, x in zip(row, v)) for row in a]
+    U, D, V = snf
+    c = mat_vec(U, list(b))
+    cols = len(V)
+    y = [0] * cols
+    diag = diagonal_of(D)
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if ci != 0:
+                return None
+        else:
+            if ci % d != 0:
+                return None
+            y[i] = ci // d
+    return tuple(mat_vec(V, y))
+
+
+def test_solve_smith_sparse_products_match_dense_oracle():
+    """Random matrices (rank-deficient a third of the time) with dense
+    right-hand sides, images m x of sparse x, and sparse targets, many of
+    them outside the lattice."""
+    rng = random.Random(5)
+    solved = 0
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -4]) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.33:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1 % rows])]
+        snf = smith_normal_form(m)
+        x0 = [rng.choice([0, 0, 0, 1, -2]) for _ in range(cols)]
+        targets = [
+            [rng.randint(-5, 5) for _ in range(rows)],
+            [sum(a * x for a, x in zip(row, x0)) for row in m],
+            [rng.choice([0, 0, 0, 0, 1, -3]) for _ in range(rows)],
+            [0] * rows,
+        ]
+        for b in targets:
+            x = solve_smith(snf, b)
+            assert x == oracle_solve_smith(snf, b)
+            if x is not None:
+                solved += 1
+                assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
+    assert solved > 300
