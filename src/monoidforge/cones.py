@@ -97,6 +97,17 @@ class RationalCone:
                 m |= 1 << i
         return m
 
+    def witness_mask(self, witness):
+        """Bitset of the facet normals vanishing at the image of the element
+        with coefficient vector witness over M.generators: the facets
+        vanishing on every generator it uses.  Exact, since a normal n has
+        n . pi(x) = sum c_i n . pi(g_i) with every term >= 0."""
+        m = self.all_facets
+        for c, v in zip(witness, self.host_masks):
+            if c:
+                m &= v
+        return m
+
     def vanishing_set(self, v):
         """Indices of facet normals vanishing at the point v (Mbar coords)."""
         return _bits(self.vanishing_mask(v))
@@ -141,11 +152,12 @@ class RationalCone:
         self._face_by_gens = {f.gen_mask: f for f in self._faces}
         return self._faces
 
-    def face_of(self, v):
-        """The face whose relative interior contains the point v: the one
-        whose generators are those on every facet vanishing at v."""
+    def face_of(self, mask):
+        """The face whose relative interior contains the points at which
+        exactly the facets of mask vanish: the one whose generators are
+        those on every such facet."""
         gm = self.all_gens
-        for i in _bits(self.vanishing_mask(v)):
+        for i in _bits(mask):
             gm &= self.facet_mask[i]
         self.faces()
         return self._face_by_gens[gm]
@@ -175,7 +187,7 @@ def face_locate(M, a):
     if not res.is_yes:
         raise ValueError(f"{a} is not an element of the monoid")
     cone = _cone_of(M)
-    return cone.face_of(cone.tq.project(a))
+    return cone.face_of(cone.vanishing_mask(cone.tq.project(a)))
 
 
 def interior_member(M, a):

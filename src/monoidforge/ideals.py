@@ -131,34 +131,86 @@ def is_prime(I, definitional_bound=3):
 
 
 def _predicate_ideal_generators(host, pred, bound):
-    """Minimal elements of {x in M : pred(x)} on the degree <= bound slice,
-    certified by a lookahead window: every predicate element one generator
-    band above the bound must already reduce to the found generators."""
+    """Minimal elements of {x in M : pred(x, witness)} on the degree <= bound
+    slice, certified by a lookahead window: every predicate element one
+    generator band above the bound must already reduce to the found
+    generators.
+
+    One slice of degree bound + band answers every membership question of
+    the search by lookup: each difference x - g it forms has degree at most
+    deg(x), and the slice holds every element of M up to its bound.  pred is
+    called with an element and its slice witness, at most once per element.
+    """
+    if host.grading() is None:  # before degree() raises a different message
+        raise ValueError("slice enumeration needs a positive monoid")
     amb = host.ambient
-    elems = [x for x in sorted(host.slice(bound)) if any(x) and pred(x)]
-    mins = []
-    for x in elems:
-        reducible = False
-        for g in host.generators:
-            y = amb.sub(x, g)
-            if member(host, y).is_yes and pred(y):
-                reducible = True
-                break
-        if not reducible:
+    gens = host.generators
+    band = max((host.degree(g) for g in gens), default=1)
+    top = bound + band
+    data = host._slice_data(top)
+    known = {}
+
+    def holds(x):
+        ok = known.get(x)
+        if ok is None:
+            ok = known[x] = pred(x, data[x][0])
+        return ok
+
+    mins, lookahead = [], []
+    for x in sorted(data):
+        d = data[x][1]
+        if d > top or not any(x):
+            continue
+        if d > bound:
+            lookahead.append(x)
+        elif holds(x) and not any(
+            y in data and holds(y) for y in (amb.sub(x, g) for g in gens)
+        ):
             mins.append(x)
-    band = max((host.degree(g) for g in host.generators), default=1)
-    lookahead = [
-        x
-        for x in sorted(host.slice(bound + band))
-        if any(x) and host.degree(x) > bound and pred(x)
-    ]
     for x in lookahead:
-        if not ideal_contains(host, mins, x).is_yes:
+        if holds(x) and not _generated_by(amb, data, mins, x):
             raise CertificationError(
                 f"ideal generator stream not stabilized within degree {bound}: "
                 f"element {x} above the bound is not generated"
             )
     return mins
+
+
+def _generated_by(amb, data, ideal_gens, x):
+    """x in the ideal generated by ideal_gens, decided on a slice map that
+    covers the degree of x (every x - g in M has degree <= deg(x))."""
+    return any(amb.sub(x, g) in data for g in ideal_gens)
+
+
+def _slice_elements(data, bound):
+    """The elements of degree <= bound of a slice map, sorted."""
+    return sorted(x for x, (_, d) in data.items() if d <= bound)
+
+
+def _mask_predicate(host, test):
+    """The predicate test(mask) on elements of host, where mask is the bitset
+    of facets vanishing at the image of the element, read off its witness."""
+    cone = _cone_of(host)
+    return lambda x, witness: test(cone.witness_mask(witness))
+
+
+def _radical_candidate(host, ideal_gens):
+    """In every face-complement prime containing the ideal: no face avoiding
+    the ideal contains the element."""
+    avoid = [f.normal_mask for f in _faces_avoiding(host, ideal_gens)]
+    return _mask_predicate(host, lambda v: not any(v & need == need for need in avoid))
+
+
+def _outside_face(host, face):
+    """Outside the face submonoid: some facet of the face is positive."""
+    need = face.normal_mask
+    return _mask_predicate(host, lambda v: v & need != need)
+
+
+def _face_index_at_least(host, k):
+    """The face whose relative interior holds the element has index >= k."""
+    cone = _cone_of(host)
+    return _mask_predicate(host, lambda v: cone.face_of(v).index >= k)
 
 
 @dataclass
@@ -199,15 +251,7 @@ def radical(I, degree_bound=12, power_bound=64):
         raise ValueError("radical requires a proper ideal")
     if I.is_empty():
         return RadicalResult(MonoidIdeal(host, []), "faces", degree_bound, {})
-    cone = _cone_of(host)
-    avoid = [f.normal_mask for f in _faces_avoiding(host, I.generators)]
-
-    def in_candidate(x):
-        if not member(host, x).is_yes:
-            return False
-        v = cone.vanishing_mask(cone.tq.project(x))
-        return not any(v & need == need for need in avoid)
-
+    in_candidate = _radical_candidate(host, I.generators)
     gens = _predicate_ideal_generators(host, in_candidate, degree_bound)
     certs = {}
     ok = True
@@ -219,10 +263,12 @@ def radical(I, degree_bound=12, power_bound=64):
         certs[g] = n
     if ok:
         for g in I.generators:
-            assert in_candidate(g), f"ideal generator {g} escapes its own radical"
+            assert in_candidate(g, member(host, g).witness), (
+                f"ideal generator {g} escapes its own radical"
+            )
         return RadicalResult(MonoidIdeal(host, gens), "faces", degree_bound, certs)
     # fallback: direct bounded construction {x : nx in I, n <= power_bound}
-    def by_power(x):
+    def by_power(x, witness):
         return member(host, x).is_yes and _power_in_ideal(I, x, power_bound) is not None
 
     gens = _predicate_ideal_generators(host, by_power, degree_bound)
@@ -277,7 +323,6 @@ def prime_decomposition(I, degree_bound=12):
         raise ValueError("prime_decomposition requires a proper ideal")
     if not is_radical(inner, degree_bound):
         raise ValueError("prime_decomposition requires a radical ideal")
-    cone = _cone_of(host)
     avoid = _faces_avoiding(host, inner.generators)
     maximal = [
         f
@@ -289,19 +334,17 @@ def prime_decomposition(I, degree_bound=12):
     primes = []
     for f in maximal:
         comp = face_submonoid(host, f)
-
-        def outside_face(x, need=f.normal_mask):
-            return cone.vanishing_mask(cone.tq.project(x)) & need != need
-
-        pgens = _predicate_ideal_generators(host, outside_face, degree_bound)
+        pgens = _predicate_ideal_generators(host, _outside_face(host, f), degree_bound)
         P = MonoidIdeal(host, pgens)
         if not is_prime(P):
             raise CertificationError(f"face complement for face {f.index} is not prime")
         primes.append((P, comp, f))
     # exhaustive certificate on the slice: intersection of primes equals I
-    for x in sorted(host.slice(degree_bound)):
-        in_all = all(P.member(x).is_yes for P, _, _ in primes)
-        in_ideal = inner.member(x).is_yes
+    amb = host.ambient
+    data = host._slice_data(degree_bound)
+    for x in _slice_elements(data, degree_bound):
+        in_all = all(_generated_by(amb, data, P.generators, x) for P, _, _ in primes)
+        in_ideal = _generated_by(amb, data, inner.generators, x)
         if in_all != in_ideal:
             raise CertificationError(
                 f"intersection certificate fails at {x}: "
@@ -309,7 +352,6 @@ def prime_decomposition(I, degree_bound=12):
             )
     witnesses = {}
     for i, (_, comp, f) in enumerate(primes):
-        amb = host.ambient
         s = amb.zero()
         for g in comp.generators:
             s = amb.add(s, g)
@@ -361,6 +403,7 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         raise ValueError("ideal_filtration requires a seminormal monoid")
     faces = face_lattice(M)
     r = len(faces) - 1
+    amb = M.ambient
     chain = []
     for k in range(r + 1):
         if k == 0:
@@ -369,15 +412,14 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
             )
             continue
 
-        def at_least_k(x, k=k):
-            return face_locate(M, x).index >= k
-
+        at_least_k = _face_index_at_least(M, k)
         gens = _predicate_ideal_generators(M, at_least_k, degree_bound)
         ideal = MonoidIdeal(M, gens)
         # certify on the slice: the generated ideal matches the predicate
-        for x in sorted(M.slice(degree_bound)):
-            want = any(x) and at_least_k(x)
-            got = ideal.member(x).is_yes
+        data = M._slice_data(degree_bound)
+        for x in _slice_elements(data, degree_bound):
+            want = any(x) and at_least_k(x, data[x][0])
+            got = _generated_by(amb, data, ideal.generators, x)
             if want != got:
                 raise CertificationError(
                     f"filtration certificate fails at {x} for k={k}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
 from .rings import QQ
 
@@ -296,35 +297,70 @@ class AbelianGroupShape:
     def __post_init__(self):
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion invariants must be >= 2")
+        # not fields: eq, hash and repr (the interning keys) stay those of
+        # (free_rank, torsion)
+        object.__setattr__(self, "_dim", self.free_rank + len(self.torsion))
 
     def is_canonical_chain(self):
         return all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:]))
 
     @property
     def dim(self):
-        return self.free_rank + len(self.torsion)
+        return self._dim
+
+    def _length_error(self, vec):
+        return ValueError(f"element length {len(vec)} != ambient dim {self._dim}")
 
     def reduce(self, vec):
         vec = tuple(vec)
-        if len(vec) != self.dim:
-            raise ValueError(f"element length {len(vec)} != ambient dim {self.dim}")
+        if len(vec) != self._dim:
+            raise self._length_error(vec)
+        if not self.torsion:
+            return vec
         r = self.free_rank
-        return vec[:r] + tuple(v % d for v, d in zip(vec[r:], self.torsion))
+        return vec[:r] + tuple(map(_mod, vec[r:], self.torsion))
 
     def zero(self):
-        return (0,) * self.dim
+        return (0,) * self._dim
+
+    # add, sub, neg and scale make one pass and reduce only the torsion
+    # coordinates of the result; map would silently truncate a vector of the
+    # wrong length, so the lengths are checked first
 
     def add(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def neg(self, a):
-        return self.reduce(tuple(-x for x in a))
+        if len(a) != self._dim or len(b) != self._dim:
+            raise self._length_error(b if len(a) == self._dim else a)
+        if not self.torsion:
+            return tuple(map(_add, a, b))
+        r = self.free_rank
+        tail = map(_add, a[r:], b[r:])
+        return tuple(map(_add, a[:r], b[:r])) + tuple(map(_mod, tail, self.torsion))
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if len(a) != self._dim or len(b) != self._dim:
+            raise self._length_error(b if len(a) == self._dim else a)
+        if not self.torsion:
+            return tuple(map(_sub, a, b))
+        r = self.free_rank
+        tail = map(_sub, a[r:], b[r:])
+        return tuple(map(_sub, a[:r], b[:r])) + tuple(map(_mod, tail, self.torsion))
+
+    def neg(self, a):
+        if len(a) != self._dim:
+            raise self._length_error(a)
+        if not self.torsion:
+            return tuple(map(_neg, a))
+        r = self.free_rank
+        return tuple(map(_neg, a[:r])) + tuple(map(_mod, map(_neg, a[r:]), self.torsion))
 
     def scale(self, n, a):
-        return self.reduce(tuple(n * x for x in a))
+        if len(a) != self._dim:
+            raise self._length_error(a)
+        if not self.torsion:
+            return tuple([n * x for x in a])
+        r = self.free_rank
+        tail = [n * x % d for x, d in zip(a[r:], self.torsion)]
+        return tuple([n * x for x in a[:r]]) + tuple(tail)
 
     def free_part(self, a):
         return tuple(a[: self.free_rank])

@@ -167,6 +167,8 @@ def _express_in_basis(targets, basis, R):
                     row[j] = c
                 elif R.is_field():
                     row[j] = R.mul(c, R.inv(bcoeff))
+                elif R.kind == "Z" and c % bcoeff == 0:
+                    row[j] = c // bcoeff
                 else:
                     ok = False
                     break
@@ -488,6 +490,8 @@ class _Coordinates:
                     coords[j] = c
                 elif R.is_field():
                     coords[j] = R.mul(c, R.inv(b))
+                elif R.kind == "Z" and c % b == 0:
+                    coords[j] = c // b
                 else:
                     return None
             return coords
@@ -1107,7 +1111,7 @@ def build_prime_intersection_from_radical(N, ideal_gens, R, degree_bound=10):
     p = list(dec.primes[0][0].generators)
     rest = dec.primes[1:]
     # q = intersection of the remaining primes, as a generated ideal
-    def in_rest(key):
+    def in_rest(key, witness):
         return all(P.member(key).is_yes for P, _, _ in rest)
 
     qgens = _predicate_ideal_generators(N, in_rest, degree_bound)

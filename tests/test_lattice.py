@@ -375,3 +375,57 @@ def test_solve_smith_sparse_products_match_dense_oracle():
                 solved += 1
                 assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
     assert solved > 300
+
+
+def reduce_based(shape):
+    """The group operations as reduce of the coordinatewise result."""
+    return {
+        "add": lambda a, b: shape.reduce(tuple(x + y for x, y in zip(a, b))),
+        "sub": lambda a, b: shape.reduce(tuple(x - y for x, y in zip(a, b))),
+        "neg": lambda a: shape.reduce(tuple(-x for x in a)),
+        "scale": lambda n, a: shape.reduce(tuple(n * x for x in a)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(2, 6), max_size=2),
+    st.data(),
+)
+def test_group_operations_match_reduce(free_rank, torsion, data):
+    shape = AbelianGroupShape(free_rank, tuple(torsion))
+    vec = st.tuples(*[st.integers(-9, 9)] * shape.dim)
+    a, b = data.draw(vec), data.draw(vec)
+    n = data.draw(st.integers(-4, 4))
+    want = reduce_based(shape)
+    # raw vectors as well as reduced ones
+    for x, y in ((a, b), (shape.reduce(a), shape.reduce(b))):
+        assert shape.add(x, y) == want["add"](x, y)
+        assert shape.sub(x, y) == want["sub"](x, y)
+        assert shape.neg(x) == want["neg"](x)
+        assert shape.scale(n, x) == want["scale"](n, x)
+        assert shape.sub(x, y) == shape.add(x, shape.neg(y))
+        assert type(shape.add(x, y)) is tuple
+    short, long_ = a[:-1], a + (1,)
+    for bad in ([short, a], [a, short], [long_, a], [a, long_]):
+        if len(bad[0]) != len(bad[1]):
+            with pytest.raises(ValueError):
+                shape.add(*bad)
+            with pytest.raises(ValueError):
+                shape.sub(*bad)
+    for bad in (short, long_):
+        if len(bad) != shape.dim:
+            with pytest.raises(ValueError):
+                shape.neg(bad)
+            with pytest.raises(ValueError):
+                shape.scale(n, bad)
+
+
+def test_group_shape_identity_is_its_fields():
+    """eq, hash and repr (the interning keys) see only free_rank and torsion."""
+    a, b = AbelianGroupShape(2, (2,)), AbelianGroupShape(2, (2,))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((2, (2,)))
+    assert repr(a) == "AbelianGroupShape(free_rank=2, torsion=(2,))"
+    assert a != AbelianGroupShape(3) and AbelianGroupShape(3).dim == a.dim == 3

@@ -1,9 +1,12 @@
 import pytest
 
+from monoidforge.algebra import AlgebraElement
 from monoidforge.rings import GF, QQ, ZZ, IntegerModRing
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid
 from monoidforge.squares import (
+    _Coordinates,
+    _express_in_basis,
     build_face_filtration,
     build_pc,
     build_positive_split,
@@ -209,3 +212,31 @@ def test_elementwise_counts_reported():
     sq = build_seminormal_step(M23, (1,), GF(2))
     rep = verify_cartesian(sq, degree_bound=6, elementwise_budget=4096)
     assert any("elementwise" in e for e in rep.per_degree)
+
+
+def test_integer_coordinates_of_single_monomials():
+    """Over Z a single-monomial basis element b*x spans the multiples of b*x:
+    the lookup divides exactly when b | c and rejects the target otherwise,
+    as the general solve does once a binomial joins the basis."""
+
+    def el(coeffs):
+        return AlgebraElement(None, coeffs)
+
+    x, y = (1, 0), (0, 1)
+    two_x, three_x, four_x = el({x: 2}), el({x: 3}), el({x: 4})
+    assert _express_in_basis([two_x], [two_x], ZZ) == ([[1]], None)
+    assert _express_in_basis([four_x], [el({x: -2})], ZZ) == ([[-2]], None)
+    assert _express_in_basis([three_x], [two_x], ZZ) == (None, three_x)
+    binomial = el({x: 1, y: 1})
+    coords, wit = _express_in_basis([two_x], [two_x, binomial], ZZ)
+    assert wit is None and [int(c) for c in coords[0]] == [1, 0]
+    assert _express_in_basis([three_x], [two_x, binomial], ZZ)[0] is None
+    # the same answers from the walk's growing coordinates
+    co = _Coordinates(ZZ)
+    assert co.add(0, two_x)
+    assert co.express(two_x) == {0: 1}
+    assert co.express(el({x: -6})) == {0: -3}
+    assert co.express(three_x) is None
+    # Z/6 is neither a field nor Z: its lookup still rejects
+    Z6 = IntegerModRing(6)
+    assert _express_in_basis([el({x: 4})], [el({x: 2})], Z6)[0] is None
