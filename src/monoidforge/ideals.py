@@ -30,7 +30,7 @@ class MonoidIdeal:
     (generators plus the collapse generators), which restores exactness.
     """
 
-    def __init__(self, host, generators, membership_fn=None):
+    def __init__(self, host, generators):
         if isinstance(host, PcMonoid):
             self.pc_host = host
             base = host.base
@@ -42,12 +42,8 @@ class MonoidIdeal:
         validate_ideal(base, gens)
         self.host = base
         self.generators = tuple(sorted({base.ambient.reduce(g) for g in gens}))
-        self._membership_fn = membership_fn
 
     def member(self, x):
-        if self._membership_fn is not None:
-            ok = self._membership_fn(x)
-            return Membership("yes" if ok else "no")
         return ideal_contains(self.host, self.generators, x)
 
     def is_empty(self):
@@ -116,14 +112,15 @@ def is_prime(I, definitional_bound=3):
         if cone.vanishing_mask(cone.tq.project(g)) & vanish == vanish:
             return False
     if definitional_bound and host.grading() is not None:
-        amb = host.ambient
-        els = sorted(host.slice(definitional_bound))
-        in_i = {x: I.member(x).is_yes for x in els}
-        for x in els:
-            for y in els:
-                if in_i[x] or in_i[y]:
-                    continue
-                if I.member(amb.add(x, y)).is_yes:
+        # one slice covers every sum x + y of the scan, so membership is a
+        # lookup of its differences with the ideal generators
+        amb, gens = host.ambient, I.generators
+        data = host._slice_data(2 * definitional_bound)
+        out = [x for x in _slice_elements(data, definitional_bound)
+               if not _generated_by(amb, data, gens, x)]
+        for x in out:
+            for y in out:
+                if _generated_by(amb, data, gens, amb.add(x, y)):
                     raise AssertionError(
                         f"face test claims prime but {x} + {y} lies in the ideal"
                     )

@@ -4,10 +4,14 @@ verification.
 A square holds four graded/filtered corners (monomial algebras or explicit
 spans inside an ambient algebra) and four maps; verify_cartesian checks, per
 truncation up to the bound and in one walk over the degrees, that the
-top-left corner is exactly the fiber
-product of the two legs: exact linear algebra over finite fields and Q
-(complete by linearity), a Smith-form lattice certificate over Z, and a full
-elementwise fiber enumeration whenever the fiber size fits the budget.
+top-left corner is exactly the fiber product of the two legs: exact linear
+algebra over finite fields and Q (complete by linearity), a lattice
+certificate over Z (integral lifts of the fiber relations, or a saturation
+check by one Smith form once a relation is not integral), and a full
+elementwise fiber enumeration whenever the fiber size fits the budget.  The
+walk is the only check: it restarts where a truncation does not contain
+the one before it, and walks a failing degree again as one whole
+truncation to name its witness.
 """
 
 import copy
@@ -19,10 +23,7 @@ from .lattice import (
     Echelon,
     axpy,
     diagonal_of,
-    field_eliminate,
-    integer_kernel,
     smith_normal_form,
-    solve_smith,
 )
 from .monoid import CancellativeMonoid, PcMonoid, member, smash, units_submonoid
 from .cones import face_lattice, face_locate
@@ -128,77 +129,6 @@ def make_key_map(dst_algebra, key_fn):
 # verification core
 
 
-def _key_index(elements):
-    keys = set()
-    for e in elements:
-        keys.update(e.coeffs)
-    return {k: i for i, k in enumerate(sorted(keys))}
-
-
-def _as_column(elem, index, R):
-    col = [R.zero()] * len(index)
-    for k, c in elem.coeffs.items():
-        col[index[k]] = c
-    return col
-
-
-def _express_in_basis(targets, basis, R):
-    """Coordinates of each target in the span of basis, or (None, witness).
-
-    Fast path when the basis consists of distinct single-key monomials (all
-    corners except the explicit spans); otherwise an exact solve over the
-    field / Z.
-    """
-    single = all(len(b.coeffs) == 1 for b in basis)
-    keys = [next(iter(b.coeffs)) for b in basis] if single else None
-    if single and len(set(keys)) == len(keys):
-        pos = {k: j for j, k in enumerate(keys)}
-        coords = []
-        for t in targets:
-            row = [R.zero()] * len(basis)
-            ok = True
-            for k, c in t.coeffs.items():
-                if k not in pos:
-                    ok = False
-                    break
-                j = pos[k]
-                bcoeff = basis[j].coeffs[k]
-                if bcoeff == R.one():
-                    row[j] = c
-                elif R.is_field():
-                    row[j] = R.mul(c, R.inv(bcoeff))
-                elif R.kind == "Z" and c % bcoeff == 0:
-                    row[j] = c // bcoeff
-                else:
-                    ok = False
-                    break
-            if not ok:
-                return None, t
-            coords.append(row)
-        return coords, None
-    index = _key_index(list(basis) + list(targets))
-    rows = len(index)
-    cols = len(basis)
-    A = [[R.zero()] * cols for _ in range(rows)]
-    for j, b in enumerate(basis):
-        for k, c in b.coeffs.items():
-            A[index[k]][j] = c
-    tvs = [_as_column(t, index, R) for t in targets]
-    if R.is_field():
-        sols = field_eliminate(R, A, tvs)[2]
-    elif R.kind == "Z":
-        snf = smith_normal_form(A)
-        sols = [solve_smith(snf, tv) for tv in tvs]
-    else:
-        raise ValueError(
-            f"span corners over {R.kind} are not supported; use a field, Q, or Z"
-        )
-    for t, sol in zip(targets, sols):
-        if sol is None:
-            return None, t
-    return sols, None
-
-
 def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     """Exhaustive per-truncation Cartesian check with failure witnesses.
 
@@ -216,17 +146,19 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     a nested fiber basis, and (top, left), whose rank decides injectivity.
     Each fiber element is enumerated, lifted and re-checked once, at the
     degree where it first appears.  Over Z, rank and injectivity are read
-    over Q, and while the fiber relations are integral they are a Z-basis
-    of the kernel lattice, which then equals the image lattice when every
-    relation has an integral lift.  A check thus costs about as much as its
-    last truncation alone.
+    over Q.  While the fiber relations are integral they are a Z-basis of
+    the kernel lattice, which then equals the image lattice when every
+    relation has an integral lift; once one is not integral, the lattices
+    are equal when the image lattice is saturated.  A check thus costs
+    about as much as its last truncation alone.
 
-    At the first failing degree the per-truncation check (_check_truncation)
-    runs for that degree alone, on the bases and images already built, to
-    report the same witness and note.  A corner whose truncation d - 1 is
-    not contained in truncation d, or whose basis is linearly dependent,
-    and over Z a fiber relation that is not integral, are checked per
-    truncation from that degree on.
+    The walk restarts from its numbered basis elements and their images
+    when a truncation does not contain the one before it, and when a degree
+    fails after its new elements commute and are contained: that degree is
+    then walked again as one whole truncation, which is the check of that
+    truncation on its own, so the report names its witness.  A corner
+    whose basis repeats an element, or a span corner A2 or B1 whose basis
+    is linearly dependent, raises ValueError.
     """
     R = square.ring
     walk = _CartesianWalk(square, elementwise_budget)
@@ -243,164 +175,11 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     return CartesianReport(True, degree_bound, R.kind, "exact", per_degree)
 
 
-def _check_truncation(square, d, bases, images, elementwise_budget):
-    """The Cartesian check of truncation d on its own: (entry, None), or
-    (None, (method, witness, note)) for the first failure.  bases are the
-    A1, A2 and B1 bases of the truncation, images the top and left images
-    of the A1 basis, the right images of the A2 basis and the bottom images
-    of the B1 basis."""
-    R = square.ring
-    a1b, a2b, b1b = bases
-    top_imgs, left_imgs, right_imgs, bottom_imgs = images
-    right, bottom = square.maps["right"], square.maps["bottom"]
-    for e, t, l in zip(a1b, top_imgs, left_imgs):
-        if right(t) != bottom(l):
-            return None, ("commute", e, f"square does not commute at degree {d}")
-    tX, wit = _express_in_basis(top_imgs, a2b, R)
-    if tX is None:
-        return None, (
-            "containment", wit, f"top image leaves the A2 truncation at degree {d}"
-        )
-    lY, wit = _express_in_basis(left_imgs, b1b, R)
-    if lY is None:
-        return None, (
-            "containment", wit, f"left image leaves the B1 truncation at degree {d}"
-        )
-    index = _key_index(right_imgs + bottom_imgs)
-    rows = len(index)
-    n2, n1p, n1 = len(a2b), len(b1b), len(a1b)
-    big = [[R.zero()] * (n2 + n1p) for _ in range(rows)]
-    for j, e in enumerate(right_imgs):
-        for k, c in e.coeffs.items():
-            big[index[k]][j] = c
-    for j, e in enumerate(bottom_imgs):
-        for k, c in e.coeffs.items():
-            big[index[k]][n2 + j] = R.neg(c)
-    # columns of the combined (top, left) map, in basis coordinates
-    lam_cols = [list(x) + list(y) for x, y in zip(tX, lY)]  # one per A1 basis el
-    inj_mat = [[lam_cols[i][j] for i in range(n1)] for j in range(n2 + n1p)]
-    entry = {"degree": d, "dims": {"A1": n1, "A2": n2, "B1": n1p, "B2_keys": rows}}
-    if R.is_field():
-        rank_big, ker_big, _ = field_eliminate(R, big)
-        # one elimination of (top, left) gives its kernel and the lifts
-        # of the fiber basis
-        _, ker_inj, lifts = field_eliminate(R, inj_mat, ker_big)
-        if ker_inj:
-            return None, (
-                "injectivity", _combine(a1b, ker_inj[0]),
-                f"(top,left) kernel is nontrivial at degree {d}",
-            )
-        fp_dim = (n2 + n1p) - rank_big
-        if fp_dim != n1:
-            # a fiber vector outside the image of (top, left), if any
-            wvec = next((v for v, x in zip(ker_big, lifts) if x is None), None)
-            w = None
-            if wvec is not None:
-                w = (_combine(a2b, wvec[:n2]), _combine(b1b, wvec[n2:]))
-            return None, (
-                "dimension", w,
-                f"fiber dimension {fp_dim} != dim A1 = {n1} at degree {d}",
-            )
-        entry["fiber_dim"] = fp_dim
-        if R.finite and R.size() ** fp_dim <= elementwise_budget:
-            legs = (square.maps["top"], square.maps["left"])
-            res = _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs)
-            if res is not True:
-                return None, (
-                    "elementwise", res,
-                    f"fiber element without a verified lift at degree {d}",
-                )
-            entry["elementwise"] = R.size() ** fp_dim
-    else:
-        ok, note, extra = _integer_lattice_check(big, lam_cols, n1, R)
-        if not ok:
-            return None, ("lattice", None, f"{note} at degree {d}")
-        entry.update(extra)
-    return entry, None
-
-
-def _combine(basis, coeffs):
-    if not basis:
-        return None
-    out = basis[0].algebra.zero() if hasattr(basis[0], "algebra") else None
-    for b, c in zip(basis, coeffs):
-        out = out + b.scale(c)
-    return out
-
-
-def _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs):
-    """Enumerate every fiber element, lift it through (top, left), and
-    re-verify the lift at the element level; True or a witness pair.
-
-    (top, left) is injective here, so the lift of a fiber element is the
-    same combination of the fiber basis lifts as the element is of the
-    basis."""
-    top, left = legs
-    n2 = len(a2b)
-    pair = lambda v: (_combine(a2b, v[:n2]), _combine(b1b, v[n2:]))
-    for v, x in zip(ker_big, lifts):
-        if x is None:
-            return pair(v)
-    zero = R.zero()
-    dim, n1 = n2 + len(b1b), len(a1b)
-    for combo in product(R.elements(), repeat=len(ker_big)):
-        v = [zero] * dim
-        sol = [zero] * n1
-        for c, kvec, x in zip(combo, ker_big, lifts):
-            if c == zero:
-                continue
-            for j in range(dim):
-                v[j] = R.add(v[j], R.mul(c, kvec[j]))
-            for j in range(n1):
-                sol[j] = R.add(sol[j], R.mul(c, x[j]))
-        lift = _combine(a1b, sol)
-        want_a2, want_b1 = pair(v)
-        if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
-            return (want_a2, want_b1)
-    return True
-
-
-def _integer_lattice_check(big, lam_cols, n1, R):
-    """Z (and lifted Z/n) certificate: the image lattice of (top,left) equals
-    the kernel lattice of [Psi|-Beta]; for Z/n the Smith diagonal must lie in
-    {0,1}, so the pullback base-changes to every coefficient ring."""
-    if R.kind.startswith("Z/"):
-        # balanced integer lift: faithful for the unit-coefficient maps the
-        # builders produce, and any valid lift certifies the reduction
-        half = R.n // 2
-        lift = lambda x: int(x) - R.n if int(x) > half else int(x)
-    else:
-        lift = int
-    try:
-        big_i = [[lift(x) for x in row] for row in big]
-        lam_i = [[lift(x) for x in col] for col in lam_cols]
-    except (TypeError, ValueError):
-        return False, "non-integer matrix in lattice mode", {}
-    dim = len(big_i[0]) if big_i else (len(lam_i[0]) if lam_i else 0)
-    ker = integer_kernel(big_i) if big_i else [
-        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
-    ]
-    if n1:
-        inj_ker = integer_kernel([[lam_i[i][j] for i in range(n1)] for j in range(dim)])
-        if inj_ker:
-            return False, "(top,left) has an integer kernel", {}
-    if len(ker) != n1:
-        return False, f"kernel lattice rank {len(ker)} != dim A1 = {n1}", {}
-    ksnf = smith_normal_form([[ker[t][j] for t in range(len(ker))] for j in range(dim)])
-    isnf = smith_normal_form([[lam_i[t][j] for t in range(n1)] for j in range(dim)])
-    for col in lam_i:
-        if solve_smith(ksnf, col) is None:
-            return False, "image column escapes the kernel lattice", {}
-    for kv in ker:
-        if solve_smith(isnf, kv) is None:
-            return False, "kernel vector not in the image lattice", {}
-    extra = {"lattice_rank": n1}
-    if R.kind.startswith("Z/"):
-        _, D, _ = smith_normal_form(big_i)
-        if any(x not in (0, 1) for x in diagonal_of(D)):
-            return False, "Smith diagonal not in {0,1}: no base-change certificate", {}
-        extra["universal"] = True
-    return True, "", extra
+def _kernel_vector(F, j, expr):
+    """Column j minus its expression in the earlier columns: 1 at j."""
+    v = {k: F.neg(a) for k, a in expr.items()}
+    v[j] = F.one()
+    return v
 
 
 class _Truncations:
@@ -432,7 +211,7 @@ class _Truncations:
 
     def combine(self, coeffs, size):
         """The element sum coeffs[n] * basis element n, or None for an empty
-        truncation (size 0), as _combine gives it."""
+        truncation (size 0)."""
         if not size:
             return None
         algebra, out = self.elems[0].algebra, {}
@@ -442,12 +221,11 @@ class _Truncations:
 
 
 class _Coordinates:
-    """Coordinates in the growing basis of one corner, as _express_in_basis
-    computes them against each truncation: a lookup while every basis
-    element is a single monomial with a key of its own, then one solve in
-    an Echelon of the basis (over Q with integral coordinates for Z).  The
-    coordinates are unique, so a target is expressed once, at the degree
-    where it first appears."""
+    """Coordinates in the growing basis of one corner: a lookup while every
+    basis element is a single monomial with a key of its own, then one
+    solve in an Echelon of the basis (over Q with integral coordinates for
+    Z).  The coordinates are unique, so a target is expressed once, at the
+    degree where it first appears."""
 
     def __init__(self, R):
         self.R = R
@@ -458,7 +236,8 @@ class _Coordinates:
 
     def add(self, n, elem):
         """Append basis element n; False when the basis becomes linearly
-        dependent or needs a solve over a ring other than a field or Z."""
+        dependent.  A basis that needs a solve over a ring other than a
+        field or Z raises ValueError."""
         self._added.append((n, elem))
         if self.single:
             if len(elem.coeffs) == 1:
@@ -468,7 +247,9 @@ class _Coordinates:
                     return True
             R = self.R
             if not (R.is_field() or R.kind == "Z"):
-                return False
+                raise ValueError(
+                    f"span corners over {R.kind} are not supported; use a field, Q, or Z"
+                )
             self.single = False
             self._echelon = Echelon(R if R.is_field() else QQ)
             return all(
@@ -512,11 +293,22 @@ class _CartesianWalk:
         self.budget = elementwise_budget
         self.field = R.is_field()
         self.corners = [_Truncations(square.corner(n)) for n in ("A1", "A2", "B1")]
-        self.walking = True
-        self.prev = [set(), set(), set()]
         self.top, self.left, self.right, self.bottom = {}, {}, {}, {}
-        self.coords = (_Coordinates(R), _Coordinates(R))  # A2, B1
+        if not self.field:
+            if R.kind.startswith("Z/"):
+                half = R.n // 2
+                self.to_int = lambda x: int(x) - R.n if int(x) > half else int(x)
+            else:
+                self.to_int = int
+        self._restart()
+
+    def _restart(self):
+        """Clear all that was walked but the numbered basis elements and
+        their images: the next degree is walked as one whole truncation."""
+        R = self.R
         F = R if self.field else QQ
+        self.prev = None  # numbers of the last truncations walked
+        self.coords = (_Coordinates(R), _Coordinates(R))  # A2, B1
         # [right | -bottom], columns ("a", A2 number) and ("b", B1 number);
         # (top, left), columns A1 numbers, rows the columns of the first
         self.big = Echelon(F)
@@ -525,13 +317,8 @@ class _CartesianWalk:
         self.relations = []  # nested fiber basis: kernel relations of big
         self.lifts = []  # lifts of the first relations through (top, left)
         self.enumerated = None  # relations whose span has been enumerated
-        if not self.field:
-            if R.kind.startswith("Z/"):
-                half = R.n // 2
-                self.to_int = lambda x: int(x) - R.n if int(x) > half else int(x)
-            else:
-                self.to_int = int
-            self.big_cols = {}  # column -> {B2 key: int}
+        self.big_cols, self.lam_cols = {}, {}  # over Z: column -> {row: int}
+        self.saturate = False  # over Z: some fiber relation is not integral
 
     def map_basis(self, ids):
         """Apply the legs to the basis elements of a truncation that have no
@@ -547,68 +334,55 @@ class _CartesianWalk:
                     if n not in imgs:
                         imgs[n] = maps[leg](T.elems[n])
 
-    def images(self, ids):
-        """Bases and images of a truncation for _check_truncation."""
-        self.map_basis(ids)
-        i1, i2, i1p = ids
-        bases = [[T.elems[n] for n in i] for T, i in zip(self.corners, ids)]
-        imgs = (
-            [self.top[n] for n in i1], [self.left[n] for n in i1],
-            [self.right[n] for n in i2], [self.bottom[n] for n in i1p],
-        )
-        return bases, imgs
-
     def step(self, d):
+        """(entry, None) for degree d, or (None, (method, witness, note))
+        for its first failure."""
         ids = [T.upto(d) for T in self.corners]
-        if self.walking:
-            self.walking = all(
-                len(set(i)) == len(i) and p <= set(i) for p, i in zip(self.prev, ids)
-            )
-        new = [[n for n in i if n not in p] for i, p in zip(ids, self.prev)]
-        self.prev = [set(i) for i in ids]
-        if self.walking:
-            for coords, T, ns in zip(self.coords, self.corners[1:], new[1:]):
-                if not all(coords.add(n, T.elems[n]) for n in ns):
-                    self.walking = False
-        if not self.walking:
-            return _check_truncation(self.square, d, *self.images(ids), self.budget)
-        entry, failure = self._walk(d, ids, new)
-        if failure == "per truncation":
-            self.walking = False
-        if failure in ("rerun", "per truncation"):
-            entry, rerun = _check_truncation(
-                self.square, d, *self.images(ids), self.budget
-            )
-            assert failure != "rerun" or rerun is not None, (
-                f"walk and truncation disagree at degree {d}"
-            )
-            failure = rerun
+        sets = [set(i) for i in ids]
+        for name, T, i, s in zip(("A1", "A2", "B1"), self.corners, ids, sets):
+            if len(s) != len(i):
+                raise ValueError(
+                    f"corner {name} ({T.corner.name}) repeats a basis element "
+                    f"at degree {d}"
+                )
+        if self.prev is not None and not all(p <= s for p, s in zip(self.prev, sets)):
+            self._restart()
+        cleared = self.prev is None
+        entry, failure = self._walk(d, ids, sets)
+        if failure and not cleared and failure[0] not in ("commute", "containment"):
+            self._restart()
+            entry, failure = self._walk(d, ids, sets)
         return entry, failure
 
-    def _walk(self, d, ids, new):
-        """Degree d from the new basis elements alone: (entry, None); (None,
-        failure) when a new element fails commutation or containment;
-        (None, "rerun") when the degree fails otherwise; or (None, "per
-        truncation") over Z when a fiber relation is not integral."""
+    def _walk(self, d, ids, sets):
+        """Degree d from the basis elements not walked yet: (entry, None),
+        or (None, (method, witness, note)) for the first failure."""
         R, right, bottom = self.R, self.square.maps["right"], self.square.maps["bottom"]
-        new1, new2, new1p = new
+        A1, A2, B1 = self.corners
+        prev = self.prev or (set(), set(), set())
+        new1, new2, new1p = new = [[n for n in i if n not in p] for i, p in zip(ids, prev)]
+        self.prev = sets
         self.map_basis(new)
         for n in new1:
             if right(self.top[n]) != bottom(self.left[n]):
-                e = self.corners[0].elems[n]
-                return None, ("commute", e, f"square does not commute at degree {d}")
-        cols = {}
-        for imgs, coords, prefix, what in (
-            (self.top, self.coords[0], "a", "top image leaves the A2"),
-            (self.left, self.coords[1], "b", "left image leaves the B1"),
+                return None, ("commute", A1.elems[n], f"square does not commute at degree {d}")
+        cols = {n: {} for n in new1}
+        for name, T, ns, coords, imgs, prefix, what in (
+            ("A2", A2, new2, self.coords[0], self.top, "a", "top image leaves the A2"),
+            ("B1", B1, new1p, self.coords[1], self.left, "b", "left image leaves the B1"),
         ):
+            for n in ns:
+                if not coords.add(n, T.elems[n]):
+                    raise ValueError(
+                        f"span corner {name} ({T.corner.name}) has a linearly "
+                        f"dependent basis at degree {d}"
+                    )
             for n in new1:
                 x = coords.express(imgs[n])
                 if x is None:
                     return None, ("containment", imgs[n], f"{what} truncation at degree {d}")
-                col = cols.setdefault(n, {})
                 for j, c in x.items():
-                    col[(prefix, j)] = c
+                    cols[n][(prefix, j)] = c
         n1, n2, n1p = (len(i) for i in ids)
         for n in new2:
             self.b2_keys.update(self.right[n].coeffs)
@@ -620,38 +394,59 @@ class _CartesianWalk:
         big += [(("b", n), {k: R.neg(c) for k, c in self.bottom[n].coeffs.items()})
                 for n in new1p]
         lam = [(n, cols[n]) for n in new1]
+        lattice = lambda note: (None, ("lattice", None, f"{note} at degree {d}"))
         if not self.field:
             try:
                 big = [(j, self._to_ints(col)) for j, col in big]
                 lam = [(n, self._to_ints(col)) for n, col in lam]
             except (TypeError, ValueError):
-                return None, "rerun"
+                return lattice("non-integer matrix in lattice mode")
         F = self.big.R
         for j, col in big:
             expr = self.big.insert(j, col)
             if expr is not None:
-                rel = {k: F.neg(a) for k, a in expr.items()}
-                rel[j] = F.one()
+                rel = _kernel_vector(F, j, expr)
                 self.relations.append(rel)
                 if not self.field and any(a.denominator != 1 for a in rel.values()):
-                    return None, "per truncation"
+                    self.saturate = True
         for n, col in lam:
-            if self.lam.insert(n, col) is not None:
-                return None, "rerun"  # (top, left) is not injective
+            expr = self.lam.insert(n, col)
+            if expr is not None:
+                if not self.field:
+                    return lattice("(top,left) has an integer kernel")
+                return None, (
+                    "injectivity", A1.combine(_kernel_vector(F, n, expr), n1),
+                    f"(top,left) kernel is nontrivial at degree {d}",
+                )
         fp_dim = len(self.relations)
         if fp_dim != n1:
-            return None, "rerun"
+            if not self.field:
+                return lattice(f"kernel lattice rank {fp_dim} != dim A1 = {n1}")
+            rel = self._unlifted()  # a fiber vector outside the image, if any
+            return None, (
+                "dimension", None if rel is None else self._pair(rel, n2, n1p),
+                f"fiber dimension {fp_dim} != dim A1 = {n1} at degree {d}",
+            )
         if self.field:
             entry["fiber_dim"] = fp_dim
             if R.finite and R.size() ** fp_dim <= self.budget:
-                if not (self._lift_new_relations() and self._new_fiber_elements(ids)):
-                    return None, "rerun"
+                rel = self._unlifted()
+                if rel is not None:
+                    witness = self._pair(rel, n2, n1p)
+                else:
+                    witness = self._new_fiber_elements(ids)
+                if witness is not None:
+                    return None, (
+                        "elementwise", witness,
+                        f"fiber element without a verified lift at degree {d}",
+                    )
                 entry["elementwise"] = R.size() ** fp_dim
             return entry, None
-        for j, col in big:
-            self.big_cols[j] = col
-        if not self._lattices_equal(ids, lam):
-            return None, "rerun"
+        self.big_cols.update(big)
+        self.lam_cols.update(lam)
+        note = self._lattice_failure(ids, lam)
+        if note is not None:
+            return lattice(note)
         entry["lattice_rank"] = n1
         if R.kind.startswith("Z/"):
             entry["universal"] = True
@@ -666,52 +461,72 @@ class _CartesianWalk:
                 out[k] = x
         return out
 
-    def _lift_new_relations(self):
+    def _pair(self, v, n2, n1p):
+        """The A2 and B1 elements of a vector v of [right | -bottom]."""
+        A2, B1 = self.corners[1:]
+        return (
+            A2.combine({n: a for (s, n), a in v.items() if s == "a"}, n2),
+            B1.combine({n: a for (s, n), a in v.items() if s == "b"}, n1p),
+        )
+
+    def _unlifted(self):
         """Lift each fiber relation not lifted yet through (top, left), once;
-        False when one is outside the image."""
+        the first relation outside the image, or None."""
         for rel in self.relations[len(self.lifts):]:
             x = self.lam.solve(rel)
             if x is None:
-                return False
+                return rel
             self.lifts.append(x)
-        return True
+        return None
 
-    def _lattices_equal(self, ids, lam):
-        """Over Z (and lifted Z/n), given injectivity, equal ranks and
-        integral fiber relations: the image lattice I of (top, left) equals
-        the kernel lattice K of [right | -bottom].  The new image columns
-        must lie in K.  The relations are a Z-basis of K (each is 1 on its
-        own dependent column and 0 on the others), so K lies in I exactly
-        when each relation has an integral lift, checked once per relation.
-        For Z/n the Smith diagonal of [right | -bottom] must lie in {0, 1}."""
+    def _lattice_failure(self, ids, lam):
+        """Over Z (and lifted Z/n), given injectivity and equal ranks: why
+        the image lattice I of (top, left) differs from the kernel lattice K
+        of [right | -bottom], or None when they are equal.
+
+        The new image columns must lie in K.  While the fiber relations are
+        integral they are a Z-basis of K (each is 1 on its own dependent
+        column and 0 on the others), so K lies in I exactly when each
+        relation has an integral lift, checked once per relation.  Once one
+        is not integral, I, inside K and of the same rank, equals K (which
+        is saturated) exactly when I is saturated: every Smith invariant of
+        (top, left) is 1, one Smith form per degree.  For Z/n the Smith
+        diagonal of [right | -bottom] must lie in {0, 1}."""
         for _, col in lam:
             acc = {}
             for j, a in col.items():
                 for k, b in self.big_cols[j].items():
                     acc[k] = acc.get(k, 0) + a * b
             if any(acc.values()):
-                return False
-        done = len(self.lifts)
-        if not self._lift_new_relations():
-            return False
-        if any(a.denominator != 1 for x in self.lifts[done:] for a in x.values()):
-            return False
+                return "image column escapes the kernel lattice"
+        cols = [("a", n) for n in ids[1]] + [("b", n) for n in ids[2]]
+        if self.saturate:
+            lam_i = [[self.lam_cols[n].get(j, 0) for n in ids[0]] for j in cols]
+            _, D, _ = smith_normal_form(lam_i)
+            equal = all(abs(x) == 1 for x in diagonal_of(D))
+        else:
+            done = len(self.lifts)
+            equal = self._unlifted() is None and all(
+                a.denominator == 1 for x in self.lifts[done:] for a in x.values()
+            )
+        if not equal:
+            return "kernel vector not in the image lattice"
         if self.R.kind.startswith("Z/"):
-            cols = [("a", n) for n in ids[1]] + [("b", n) for n in ids[2]]
             keys = sorted(self.b2_keys)
             big_i = [[self.big_cols[j].get(k, 0) for j in cols] for k in keys]
             _, D, _ = smith_normal_form(big_i)
             if any(x not in (0, 1) for x in diagonal_of(D)):
-                return False
-        return True
+                return "Smith diagonal not in {0,1}: no base-change certificate"
+        return None
 
     def _new_fiber_elements(self, ids):
         """Enumerate the fiber elements that are new at this degree (all of
         them the first time), each a combination of the fiber relations,
         lift it as the same combination of their lifts and re-check the lift
-        through the maps; False at the first failure."""
+        through the maps; the A2 and B1 elements of the first that fails, or
+        None."""
         R, sq = self.R, self.square
-        A1, A2, B1 = self.corners
+        A1 = self.corners[0]
         n1, n2, n1p = (len(i) for i in ids)
         rels, lifts = self.relations, self.lifts
         old, f = self.enumerated, len(rels)
@@ -731,11 +546,10 @@ class _CartesianWalk:
                         axpy(R, v, c, rel)
                         axpy(R, sol, c, x)
                 lift = A1.combine(sol, n1)
-                want_a2 = A2.combine({n: a for (s, n), a in v.items() if s == "a"}, n2)
-                want_b1 = B1.combine({n: a for (s, n), a in v.items() if s == "b"}, n1p)
+                want_a2, want_b1 = self._pair(v, n2, n1p)
                 if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
-                    return False
-        return True
+                    return want_a2, want_b1
+        return None
 
 
 def quotient_map_apply(square, leg, u):

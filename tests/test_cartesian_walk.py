@@ -1,23 +1,28 @@
 """verify_cartesian walks the truncations once; the per-truncation check it
-replaced is kept here verbatim as the oracle (verify_cartesian,
-_combine and _elementwise_fiber_check below, as they stood before the walk),
-and so is the per-degree verify_reduced_iso.
+replaced is kept here verbatim as the oracle (verify_cartesian, _combine,
+_elementwise_fiber_check, _key_index, _as_column, _express_in_basis and
+_integer_lattice_check below, as they stood before the walk), and so is
+the per-degree verify_reduced_iso.
 
 Every canonical report must agree at bound 10: the six builders over F2,
 F3, F4, F5, Q, Z and Z/6 (a ValueError counts as an answer), their
-corrupt_square controls, "shrunk" controls whose top-left truncations are
-not nested, a square whose commutation first fails at degree 2, one whose
-top map is wrong only on a fiber element that is not a basis element (only
-the elementwise enumeration sees it), and elementwise budgets 0, 512 and
-4096; over Z also two hand-made squares whose fiber relations are not
-integral (one Cartesian, one whose image lattice has index 2; both are
-checked per truncation) and one with integral relations and an index-2
-image.  A counting test pins that each fiber element is lifted and
-re-checked through the top map once over the whole walk.
+corrupt_square controls, "shrunk" controls whose top-left or top-right
+truncations are not nested (the walk restarts there), a square whose
+commutation first fails at degree 2, one whose top map is wrong only on a
+fiber element that is not a basis element (only the elementwise enumeration
+sees it), and elementwise budgets 0, 512 and 4096; over Z also two
+hand-made squares whose fiber relations are not integral (one Cartesian, one
+whose image lattice has index 2), one with integral relations and an
+index-2 image, and two whose relations stop being integral at degree 1, so
+the walk switches from relation lifts to the saturation check.  A counting
+test pins that each fiber element is lifted and re-checked through the top
+map once over the whole walk.  A span corner whose basis repeats an element
+or is linearly dependent is refused with a ValueError.
 """
 
 import copy
 import json
+import re
 from itertools import product
 
 import pytest
@@ -25,7 +30,14 @@ import pytest
 from monoidforge import squares
 from monoidforge.algebra import AlgebraElement, CancellativeAlgebra, MonomialQuotientAlgebra
 from monoidforge.ideals import MonoidIdeal, radical
-from monoidforge.lattice import AbelianGroupShape, field_eliminate
+from monoidforge.lattice import (
+    AbelianGroupShape,
+    diagonal_of,
+    field_eliminate,
+    integer_kernel,
+    smith_normal_form,
+    solve_smith,
+)
 from monoidforge.monoid import CancellativeMonoid
 from monoidforge.rings import GF, QQ, ZZ, IntegerModRing
 from monoidforge.squares import (
@@ -33,9 +45,6 @@ from monoidforge.squares import (
     Corner,
     MilnorSquare,
     ReducedIsoReport,
-    _express_in_basis,
-    _integer_lattice_check,
-    _key_index,
     build_face_filtration,
     build_pc,
     build_positive_split,
@@ -196,6 +205,120 @@ def _elementwise_fiber_check(R, ker_big, lifts, a1b, a2b, b1b, legs):
     return True
 
 
+def _key_index(elements):
+    keys = set()
+    for e in elements:
+        keys.update(e.coeffs)
+    return {k: i for i, k in enumerate(sorted(keys))}
+
+
+def _as_column(elem, index, R):
+    col = [R.zero()] * len(index)
+    for k, c in elem.coeffs.items():
+        col[index[k]] = c
+    return col
+
+
+def _express_in_basis(targets, basis, R):
+    """Coordinates of each target in the span of basis, or (None, witness).
+
+    Fast path when the basis consists of distinct single-key monomials (all
+    corners except the explicit spans); otherwise an exact solve over the
+    field / Z.
+    """
+    single = all(len(b.coeffs) == 1 for b in basis)
+    keys = [next(iter(b.coeffs)) for b in basis] if single else None
+    if single and len(set(keys)) == len(keys):
+        pos = {k: j for j, k in enumerate(keys)}
+        coords = []
+        for t in targets:
+            row = [R.zero()] * len(basis)
+            ok = True
+            for k, c in t.coeffs.items():
+                if k not in pos:
+                    ok = False
+                    break
+                j = pos[k]
+                bcoeff = basis[j].coeffs[k]
+                if bcoeff == R.one():
+                    row[j] = c
+                elif R.is_field():
+                    row[j] = R.mul(c, R.inv(bcoeff))
+                elif R.kind == "Z" and c % bcoeff == 0:
+                    row[j] = c // bcoeff
+                else:
+                    ok = False
+                    break
+            if not ok:
+                return None, t
+            coords.append(row)
+        return coords, None
+    index = _key_index(list(basis) + list(targets))
+    rows = len(index)
+    cols = len(basis)
+    A = [[R.zero()] * cols for _ in range(rows)]
+    for j, b in enumerate(basis):
+        for k, c in b.coeffs.items():
+            A[index[k]][j] = c
+    tvs = [_as_column(t, index, R) for t in targets]
+    if R.is_field():
+        sols = field_eliminate(R, A, tvs)[2]
+    elif R.kind == "Z":
+        snf = smith_normal_form(A)
+        sols = [solve_smith(snf, tv) for tv in tvs]
+    else:
+        raise ValueError(
+            f"span corners over {R.kind} are not supported; use a field, Q, or Z"
+        )
+    for t, sol in zip(targets, sols):
+        if sol is None:
+            return None, t
+    return sols, None
+
+
+def _integer_lattice_check(big, lam_cols, n1, R):
+    """Z (and lifted Z/n) certificate: the image lattice of (top,left) equals
+    the kernel lattice of [Psi|-Beta]; for Z/n the Smith diagonal must lie in
+    {0,1}, so the pullback base-changes to every coefficient ring."""
+    if R.kind.startswith("Z/"):
+        # balanced integer lift: faithful for the unit-coefficient maps the
+        # builders produce, and any valid lift certifies the reduction
+        half = R.n // 2
+        lift = lambda x: int(x) - R.n if int(x) > half else int(x)
+    else:
+        lift = int
+    try:
+        big_i = [[lift(x) for x in row] for row in big]
+        lam_i = [[lift(x) for x in col] for col in lam_cols]
+    except (TypeError, ValueError):
+        return False, "non-integer matrix in lattice mode", {}
+    dim = len(big_i[0]) if big_i else (len(lam_i[0]) if lam_i else 0)
+    ker = integer_kernel(big_i) if big_i else [
+        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
+    ]
+    if n1:
+        inj_ker = integer_kernel([[lam_i[i][j] for i in range(n1)] for j in range(dim)])
+        if inj_ker:
+            return False, "(top,left) has an integer kernel", {}
+    if len(ker) != n1:
+        return False, f"kernel lattice rank {len(ker)} != dim A1 = {n1}", {}
+    ksnf = smith_normal_form([[ker[t][j] for t in range(len(ker))] for j in range(dim)])
+    isnf = smith_normal_form([[lam_i[t][j] for t in range(n1)] for j in range(dim)])
+    for col in lam_i:
+        if solve_smith(ksnf, col) is None:
+            return False, "image column escapes the kernel lattice", {}
+    for kv in ker:
+        if solve_smith(isnf, kv) is None:
+            return False, "kernel vector not in the image lattice", {}
+    extra = {"lattice_rank": n1}
+    if R.kind.startswith("Z/"):
+        _, D, _ = smith_normal_form(big_i)
+        if any(x not in (0, 1) for x in diagonal_of(D)):
+            return False, "Smith diagonal not in {0,1}: no base-change certificate", {}
+        extra["universal"] = True
+    return True, "", extra
+
+
 def verify_reduced_iso(square, degree_bound=10):
     """(A/I)_red -> (B/I)_red is an isomorphism: the non-nilpotent monomials
     of the two quotient corners agree degree by degree, and the induced map
@@ -258,16 +381,16 @@ def six_squares(R):
     ]
 
 
-def shrunk_square(square):
-    """The top-left truncations of positive degree lose their first basis
-    element, so truncation d - 1 is not contained in truncation d."""
+def shrunk_square(square, name="A1"):
+    """The truncations of corner name of positive degree lose their first
+    basis element, so truncation d - 1 is not contained in truncation d."""
     bad = copy.copy(square)
-    A1 = square.corner("A1")
+    corner = square.corner(name)
     bad.corners = dict(square.corners)
-    bad.corners["A1"] = Corner(
-        A1.name + "-shrunk",
-        ambient=A1.ambient,
-        basis_fn=lambda d: A1.basis_upto(d)[1:] if d else A1.basis_upto(d),
+    bad.corners[name] = Corner(
+        corner.name + "-shrunk",
+        ambient=corner.ambient,
+        basis_fn=lambda d: corner.basis_upto(d)[1:] if d else corner.basis_upto(d),
     )
     return bad
 
@@ -315,7 +438,13 @@ def test_walk_matches_oracle_on_six_squares_and_controls(R):
     for kind, sq in six_squares(R):
         walk, oracle = canon(sq)
         assert walk == oracle, (kind, walk, oracle)
-        for name, control in (("corrupted", corrupt_square), ("shrunk", shrunk_square)):
+        for name, control in (
+            ("corrupted", corrupt_square),
+            ("shrunk", shrunk_square),
+            # a walk that kept the dropped A2 element would still find the
+            # top image of the constant inside A2
+            ("shrunk A2", lambda sq: shrunk_square(sq, "A2")),
+        ):
             walk, oracle = canon(control(sq))
             assert walk == oracle, (kind, name, walk, oracle)
 
@@ -436,3 +565,94 @@ def test_reduced_iso_per_degree_matches_oracle():
     got = squares.verify_reduced_iso(bad, degree_bound=6)
     assert got.to_json() == verify_reduced_iso(bad, degree_bound=6).to_json()
     assert not got.ok and got.per_degree == []
+
+
+def diagonal_square(c, t, s_):
+    """Over Z: all four corners Z[x]; on x^k top multiplies by t(k), left by
+    s_(k), right by c(k), and bottom is the identity.  At degree k the
+    fiber is {(a x^k, b x^k) : c(k) a = b}; its relation over Q is integral
+    exactly when c(k) = 1 or -1, and the square is Cartesian exactly when
+    every t(k) is 1 or -1 (commutation needs s_(k) = c(k) t(k))."""
+    Zx = CancellativeAlgebra(M(Z1, [(1,)]), ZZ)
+
+    def times(f):
+        return lambda e: AlgebraElement(Zx, {k: f(k[0]) * a for k, a in e.coeffs.items()})
+
+    corners = {n: Corner("Z[x]", algebra=Zx) for n in ("A1", "A2", "B1", "B2")}
+    maps = {"top": times(t), "left": times(s_), "right": times(c), "bottom": lambda e: e}
+    return MilnorSquare("diagonal", corners, maps, ("bottom",), ZZ)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_integer_relations_that_stop_being_integral(index, monkeypatch):
+    """c = 1 at degree 0 and 2 above: the walk lifts the degree-0 relation
+    and from degree 1 on decides the lattices by one Smith form per degree.
+    With index 2 the image lattice at degree 2 has index 2 in the fiber, and
+    degree 2 takes a second Smith form when it is walked again whole."""
+    c = lambda k: 1 if k == 0 else 2
+    t = lambda k: index if k == 2 else 1
+    sq = diagonal_square(c, t, lambda k: c(k) * t(k))
+    walk, oracle = canon(sq)
+    assert walk == oracle
+    rep = json.loads(walk)
+    assert rep["cartesian"] == (index == 1)
+    if index == 2:
+        assert rep["note"] == "kernel vector not in the image lattice at degree 2"
+    calls = []
+    snf = squares.smith_normal_form
+    monkeypatch.setattr(squares, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    squares.verify_cartesian(sq, degree_bound=BOUND)
+    assert len(calls) == (BOUND if index == 1 else 3)
+
+
+def malformed(square, name, extra):
+    """The square with span corner name, whose basis gains extra(basis) from
+    degree 1 on."""
+    bad = copy.copy(square)
+    corner = square.corner(name)
+    bad.corners = dict(square.corners)
+    bad.corners[name] = Corner(
+        corner.name + "-malformed",
+        ambient=corner.ambient,
+        basis_fn=lambda d: corner.basis_upto(d) + (extra(corner.basis_upto(d)) if d else []),
+    )
+    return bad
+
+
+@pytest.mark.parametrize("R", [GF(3), ZZ], ids=lambda R: R.kind)
+@pytest.mark.parametrize("name", ["A2", "B1"])
+def test_malformed_span_basis_is_refused(R, name):
+    """A repeated basis element, or 2 times the first one, in the A2 (R[N])
+    or B1 (R) corner of a pc square: the oracle returns a report, the walk
+    refuses the basis, naming the corner and the degree."""
+    sq = build_pc(M(Z2, [(1, 0), (0, 1)]), [(1, 1)], R)
+    corner = re.escape(f"{name} ({sq.corner(name).name}-malformed)")
+    for extra, what in (
+        (lambda b: b[:1], "repeats a basis element"),
+        (lambda b: [b[0].scale(2)], "has a linearly dependent basis"),
+    ):
+        bad = malformed(sq, name, extra)
+        assert isinstance(verify_cartesian(bad, degree_bound=3), CartesianReport)
+        with pytest.raises(ValueError, match=rf"corner {corner} {what} at degree 1$"):
+            squares.verify_cartesian(bad, degree_bound=3)
+
+
+def test_oracle_integer_coordinates_of_single_monomials():
+    """The oracle's _express_in_basis over Z divides a single-monomial
+    target exactly when the basis coefficient divides it, as the general
+    solve does once a binomial joins the basis; over Z/6 it rejects."""
+
+    def el(coeffs):
+        return AlgebraElement(None, coeffs)
+
+    x, y = (1, 0), (0, 1)
+    two_x, three_x, four_x = el({x: 2}), el({x: 3}), el({x: 4})
+    assert _express_in_basis([two_x], [two_x], ZZ) == ([[1]], None)
+    assert _express_in_basis([four_x], [el({x: -2})], ZZ) == ([[-2]], None)
+    assert _express_in_basis([three_x], [two_x], ZZ) == (None, three_x)
+    binomial = el({x: 1, y: 1})
+    coords, wit = _express_in_basis([two_x], [two_x, binomial], ZZ)
+    assert wit is None and [int(c) for c in coords[0]] == [1, 0]
+    assert _express_in_basis([three_x], [two_x, binomial], ZZ)[0] is None
+    Z6 = IntegerModRing(6)
+    assert _express_in_basis([el({x: 4})], [el({x: 2})], Z6)[0] is None

@@ -6,7 +6,6 @@ from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid
 from monoidforge.squares import (
     _Coordinates,
-    _express_in_basis,
     build_face_filtration,
     build_pc,
     build_positive_split,
@@ -216,27 +215,28 @@ def test_elementwise_counts_reported():
 
 def test_integer_coordinates_of_single_monomials():
     """Over Z a single-monomial basis element b*x spans the multiples of b*x:
-    the lookup divides exactly when b | c and rejects the target otherwise,
-    as the general solve does once a binomial joins the basis."""
+    the walk's coordinates divide exactly when b | c and reject the target
+    otherwise, as the solve does once a binomial joins the basis."""
 
     def el(coeffs):
         return AlgebraElement(None, coeffs)
 
     x, y = (1, 0), (0, 1)
-    two_x, three_x, four_x = el({x: 2}), el({x: 3}), el({x: 4})
-    assert _express_in_basis([two_x], [two_x], ZZ) == ([[1]], None)
-    assert _express_in_basis([four_x], [el({x: -2})], ZZ) == ([[-2]], None)
-    assert _express_in_basis([three_x], [two_x], ZZ) == (None, three_x)
-    binomial = el({x: 1, y: 1})
-    coords, wit = _express_in_basis([two_x], [two_x, binomial], ZZ)
-    assert wit is None and [int(c) for c in coords[0]] == [1, 0]
-    assert _express_in_basis([three_x], [two_x, binomial], ZZ)[0] is None
-    # the same answers from the walk's growing coordinates
+    two_x, three_x = el({x: 2}), el({x: 3})
     co = _Coordinates(ZZ)
     assert co.add(0, two_x)
     assert co.express(two_x) == {0: 1}
     assert co.express(el({x: -6})) == {0: -3}
     assert co.express(three_x) is None
-    # Z/6 is neither a field nor Z: its lookup still rejects
-    Z6 = IntegerModRing(6)
-    assert _express_in_basis([el({x: 4})], [el({x: 2})], Z6)[0] is None
+    # a binomial turns the lookup into a solve over Q with integral answers
+    binomial = el({x: 1, y: 1})
+    assert co.add(1, binomial)
+    assert co.express(two_x) == {0: 1}
+    assert co.express(three_x) is None
+    # Z/6 is neither a field nor Z: its lookup still rejects, and a span
+    # basis that needs a solve is refused
+    co6 = _Coordinates(IntegerModRing(6))
+    assert co6.add(0, el({x: 2}))
+    assert co6.express(el({x: 4})) is None
+    with pytest.raises(ValueError, match="span corners over Z/6 are not supported"):
+        co6.add(1, binomial)
