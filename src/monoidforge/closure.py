@@ -323,16 +323,18 @@ def seminormalize(M):
                 added.append(a)
                 current = CancellativeMonoid(amb, list(current.generators) + [a])
                 changed = True
-    final = minimalize(current)
-    # safety net: no pool candidate remains adjoinable
+    # safety net: no pool candidate remains adjoinable.  It reads only
+    # membership, so it runs on the last stage, whose caches are warm; the
+    # minimalized monoid is the same set.
     for a in pool:
-        if not member(final, a).is_yes:
+        if not member(current, a).is_yes:
             amb = M.ambient
-            if member(final, amb.scale(2, a)).is_yes and member(final, amb.scale(3, a)).is_yes:
+            if member(current, amb.scale(2, a)).is_yes and member(current, amb.scale(3, a)).is_yes:
                 raise RuntimeError(
                     f"seminormalization candidate pool too small: {a} is still "
                     "adjoinable after the fixpoint"
                 )
+    final = minimalize(current)
     res = ClosureResult(final, sorted(added), certs, "seminormalization")
     M._cache["seminormalize"] = res
     return res

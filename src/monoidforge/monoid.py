@@ -681,7 +681,8 @@ def smash(L, N):
 
     Finitely generated iff N is finite (all elements torsion) or L is
     trivial; raises otherwise.  Generators: (g, n) over L-generators g and all
-    n in N, minimalized.
+    n in N, minimalized by _minimalize_generators: the irreducibles when L is
+    positive, otherwise the greedy loop's set.
     """
     ambL, ambN = L.ambient, N.ambient
     amb = AbelianGroupShape(ambL.free_rank + ambN.free_rank, ambL.torsion + ambN.torsion)
@@ -712,24 +713,62 @@ def smash(L, N):
 
 
 def _minimalize_generators(gens, ambient):
-    """Drop generators that are non-negative combinations of the others."""
+    """A minimal generating set of M = <gens>, sorted: the generators that a
+    pass in sorted order keeps when it drops each generator lying in the
+    monoid of the generators still kept.
+
+    This is the list of the greedy loop that restarts after every removal:
+    dropping a redundant generator leaves M, U = U(M) and M/U as they are,
+    and a generator outside the monoid of the others stays outside once
+    more are dropped.  A unit is a sum of units only, so units and
+    non-units are decided apart:
+
+    - M positive: the result is the unique minimal generating set, the
+      irreducibles of M, read off one slice of M;
+    - non-units of M with units: g is redundant exactly when its image in
+      M/U is reducible or another kept non-unit has the same image, so the
+      last generator of each irreducible image of M/U is kept;
+    - units: each unit is tested against the monoid of the other kept
+      units.
+    """
     gens = sorted({ambient.reduce(g) for g in gens if any(ambient.reduce(g))})
-    kept = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(kept):
-            others = kept[:i] + kept[i + 1 :]
-            if not others:
-                continue
-            res = member(CancellativeMonoid(ambient, others), g)
-            if res.is_yes:
-                kept = others
-                changed = True
-                break
-    return kept
+    M = CancellativeMonoid(ambient, gens)
+    if M.grading() is not None:
+        return _irreducible_generators(M)
+    uq = M.unit_quotient()
+    irreducible = set(_irreducible_generators(uq.quotient))
+    unit_set = set(M.unit_generators())
+    last = {}
+    for g in gens:
+        if g not in unit_set:
+            last[uq.project(g)] = g
+    kept = [g for v, g in last.items() if v in irreducible]
+    units = [g for g in gens if g in unit_set]
+    for g in list(units):
+        others = [h for h in units if h != g]
+        if others and member(CancellativeMonoid(ambient, others), g).is_yes:
+            units = others
+    return sorted(kept + units)
+
+
+def _irreducible_generators(M):
+    """The generators g of the positive monoid M with g - h outside M for
+    every other generator h, in order: its irreducibles.  One slice up to
+    the largest generator degree holds every g - h of positive degree."""
+    gens = M.generators
+    if not gens:
+        return []
+    amb = M.ambient
+    degs = [M.degree(g) for g in gens]
+    data = M._slice_data(max(degs))
+    return [
+        g for g, d in zip(gens, degs)
+        if not any(e < d and amb.sub(g, h) in data for h, e in zip(gens, degs))
+    ]
 
 
 def minimalize(M):
-    """The same monoid presented by a minimal generating set."""
+    """The same monoid presented by a minimal generating set: for positive M
+    its irreducibles, the only one; with units, the set the greedy loop over
+    the sorted generators keeps (see _minimalize_generators)."""
     return CancellativeMonoid(M.ambient, _minimalize_generators(list(M.generators), M.ambient))
