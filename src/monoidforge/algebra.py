@@ -85,7 +85,7 @@ def monoid_keys_by_weight(M, weight_fn, bound):
 
     if M.grading() is not None:
         if weight_fn is None:
-            return sorted(M.slice(bound))
+            return M._slice_data(bound).elements(bound)
         factor = 1
         for g in M.generators:
             wg = weight_fn(g)
@@ -94,9 +94,8 @@ def monoid_keys_by_weight(M, weight_fn, bound):
                 break
             factor = max(factor, ceil(M.degree(g) / wg))
         if factor is not None:
-            return sorted(
-                k for k in M.slice(bound * factor) if weight_fn(k) <= bound
-            )
+            top = bound * factor
+            return [k for k in M._slice_data(top).elements(top) if weight_fn(k) <= bound]
     jump = M.filtration_weight if weight_fn is None else weight_fn
     return [k for k in M.filtered_elements(bound) if jump(k) <= bound]
 

@@ -114,13 +114,14 @@ def is_prime(I, definitional_bound=3):
     if definitional_bound and host.grading() is not None:
         # one slice covers every sum x + y of the scan, so membership is a
         # lookup of its differences with the ideal generators
-        amb, gens = host.ambient, I.generators
+        amb = host.ambient
         data = host._slice_data(2 * definitional_bound)
-        out = [x for x in _slice_elements(data, definitional_bound)
-               if not _generated_by(amb, data, gens, x)]
+        minus = data.minus(I.generators)
+        out = [data.element(x) for x in data.sorted_keys(definitional_bound)
+               if not data.generated(x, minus)]
         for x in out:
             for y in out:
-                if _generated_by(amb, data, gens, amb.add(x, y)):
+                if data.generated(data.key(amb.add(x, y)), minus):
                     raise AssertionError(
                         f"face test claims prime but {x} + {y} lies in the ideal"
                     )
@@ -136,59 +137,57 @@ def _predicate_ideal_generators(host, pred, bound):
     One slice of degree bound + band answers every membership question of
     the search by lookup: each difference x - g it forms has degree at most
     deg(x), and the slice holds every element of M up to its bound.  pred is
-    called with an element and its slice witness, at most once per element.
+    called with an element and its slice witness, at most once per element;
+    a predicate marked witness_only (see _mask_predicate) gets None for the
+    element, which is then never unpacked from its key.
     """
     if host.grading() is None:  # before degree() raises a different message
         raise ValueError("slice enumeration needs a positive monoid")
-    amb = host.ambient
     gens = host.generators
     band = max((host.degree(g) for g in gens), default=1)
     top = bound + band
     data = host._slice_data(top)
+    entries = data.entries
+    steps = data.minus(gens)
     known = {}
+    unpack = not getattr(pred, "witness_only", False)
 
     def holds(x):
         ok = known.get(x)
         if ok is None:
-            ok = known[x] = pred(x, data[x][0])
+            ok = known[x] = pred(data.element(x) if unpack else None, entries[x][0])
         return ok
 
     mins, lookahead = [], []
-    for x in sorted(data):
-        d = data[x][1]
-        if d > top or not any(x):
+    for x in data.sorted_keys(top):
+        if x == data.zero:
             continue
-        if d > bound:
+        if entries[x][1] > bound:
             lookahead.append(x)
-        elif holds(x) and not any(
-            y in data and holds(y) for y in (amb.sub(x, g) for g in gens)
-        ):
+        elif holds(x) and not any(holds(y) for y in data.below(x, steps)):
             mins.append(x)
+    found = [data.element(x) for x in mins]
+    minus = data.minus(found)
     for x in lookahead:
-        if holds(x) and not _generated_by(amb, data, mins, x):
+        if holds(x) and not data.generated(x, minus):
             raise CertificationError(
                 f"ideal generator stream not stabilized within degree {bound}: "
-                f"element {x} above the bound is not generated"
+                f"element {data.element(x)} above the bound is not generated"
             )
-    return mins
-
-
-def _generated_by(amb, data, ideal_gens, x):
-    """x in the ideal generated by ideal_gens, decided on a slice map that
-    covers the degree of x (every x - g in M has degree <= deg(x))."""
-    return any(amb.sub(x, g) in data for g in ideal_gens)
-
-
-def _slice_elements(data, bound):
-    """The elements of degree <= bound of a slice map, sorted."""
-    return sorted(x for x, (_, d) in data.items() if d <= bound)
+    return found
 
 
 def _mask_predicate(host, test):
     """The predicate test(mask) on elements of host, where mask is the bitset
-    of facets vanishing at the image of the element, read off its witness."""
+    of facets vanishing at the image of the element, read off its witness
+    alone."""
     cone = _cone_of(host)
-    return lambda x, witness: test(cone.witness_mask(witness))
+
+    def pred(x, witness):
+        return test(cone.witness_mask(witness))
+
+    pred.witness_only = True
+    return pred
 
 
 def _radical_candidate(host, ideal_gens):
@@ -339,12 +338,14 @@ def prime_decomposition(I, degree_bound=12):
     # exhaustive certificate on the slice: intersection of primes equals I
     amb = host.ambient
     data = host._slice_data(degree_bound)
-    for x in _slice_elements(data, degree_bound):
-        in_all = all(_generated_by(amb, data, P.generators, x) for P, _, _ in primes)
-        in_ideal = _generated_by(amb, data, inner.generators, x)
+    prime_minus = [data.minus(P.generators) for P, _, _ in primes]
+    ideal_minus = data.minus(inner.generators)
+    for x in data.sorted_keys(degree_bound):
+        in_all = all(data.generated(x, minus) for minus in prime_minus)
+        in_ideal = data.generated(x, ideal_minus)
         if in_all != in_ideal:
             raise CertificationError(
-                f"intersection certificate fails at {x}: "
+                f"intersection certificate fails at {data.element(x)}: "
                 f"in all primes={in_all}, in ideal={in_ideal}"
             )
     witnesses = {}
@@ -400,7 +401,6 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         raise ValueError("ideal_filtration requires a seminormal monoid")
     faces = face_lattice(M)
     r = len(faces) - 1
-    amb = M.ambient
     chain = []
     for k in range(r + 1):
         if k == 0:
@@ -414,12 +414,13 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         ideal = MonoidIdeal(M, gens)
         # certify on the slice: the generated ideal matches the predicate
         data = M._slice_data(degree_bound)
-        for x in _slice_elements(data, degree_bound):
-            want = any(x) and at_least_k(x, data[x][0])
-            got = _generated_by(amb, data, ideal.generators, x)
+        minus = data.minus(ideal.generators)
+        for x in data.sorted_keys(degree_bound):
+            want = x != data.zero and at_least_k(None, data.entries[x][0])
+            got = data.generated(x, minus)
             if want != got:
                 raise CertificationError(
-                    f"filtration certificate fails at {x} for k={k}"
+                    f"filtration certificate fails at {data.element(x)} for k={k}"
                 )
         chain.append(FiltrationIdeal(M, k, ideal, degree_bound))
     # I_1 = M \ {0}: its generators are exactly the monoid generators

@@ -53,22 +53,6 @@ def mat_mul(a, b):
     return out
 
 
-def det(m):
-    """Determinant by fraction-free expansion; only used on small matrices."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
-
-
 def smith_normal_form(m):
     """Smith normal form with unimodular transforms.
 
@@ -480,15 +464,6 @@ def facet_normals(vectors, dim):
         elif all(x <= 0 for x in vals):
             found.add(tuple(-x for x in n))
     return sorted(found)
-
-
-def cone_is_pointed(vectors, dim):
-    normals = facet_normals(vectors, dim)
-    if dim == 0:
-        return True
-    if not normals:
-        return False
-    return rank_of([list(n) for n in normals]) == dim
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 their structural operations.
 
 Monoid elements are reduced tuples over the ambient group Z^r x prod Z/d_i;
-the ambient AbelianGroupShape does all coordinate arithmetic.  Membership is
-exact and always ends.  A positive monoid is searched through a strictly
-positive grading, slice by slice.  A monoid M with units U = U(M) is reduced
-to the positive monoid M/U inside G/U: a lies in M exactly when its image lies
-in M/U, and a witness found there is lifted back to M through the unit
-generators (UnitQuotient).
+the ambient AbelianGroupShape does their coordinate arithmetic.  Membership
+is exact and always ends.  A positive monoid is searched through a strictly
+positive grading, slice by slice; a slice (GradedSlice) packs its elements
+into integer keys, on which adding a generator is one integer addition.  A
+monoid M with units U = U(M) is reduced to the positive monoid M/U inside
+G/U: a lies in M exactly when its image lies in M/U, and a witness found
+there is lifted back to M through the unit generators (UnitQuotient).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from .lattice import (
     AbelianGroupShape,
@@ -109,12 +111,11 @@ class CancellativeMonoid:
         w = self.grading()
         if w is None:
             raise ValueError("monoid admits no strictly positive grading")
-        r = self.ambient.free_rank
-        return sum(x * y for x, y in zip(w, a[:r]))
+        return sum(map(mul, w, a))  # w covers the free coordinates only
 
     def _slice_data(self, bound):
-        """Map element -> (witness, degree) covering every monoid element of
-        degree <= bound, from one breadth-first search started at 0.
+        """The GradedSlice of every monoid element of degree <= bound, from
+        one breadth-first search started at 0.
 
         The witness of an element is the first path the search reaches it
         by: the factorization with the fewest generators, and among those
@@ -125,36 +126,18 @@ class CancellativeMonoid:
         answer never depends on earlier calls.
         """
         cached = self._cache.get("slice")
-        if cached is not None and cached[0] >= bound:
-            return cached[1]
+        if cached is not None and cached.bound >= bound:
+            return cached
         if self.grading() is None:
             raise ValueError("slice enumeration needs a positive monoid")
-        amb = self.ambient
-        gens = self.generators
-        degs = [self.degree(g) for g in gens]
-        frontier = {amb.zero(): ((0,) * len(gens), 0)}
-        seen = dict(frontier)
-        while frontier:
-            new = {}
-            for el, (coeffs, d) in frontier.items():
-                for i, g in enumerate(gens):
-                    nd = d + degs[i]
-                    if nd <= bound:
-                        nxt = amb.add(el, g)
-                        if nxt not in seen and nxt not in new:
-                            wit = list(coeffs)
-                            wit[i] += 1
-                            new[nxt] = (tuple(wit), nd)
-            seen.update(new)
-            frontier = new
-        self._cache["slice"] = (bound, seen)
-        return seen
+        data = self._cache["slice"] = GradedSlice(self, bound)
+        return data
 
     def slice(self, bound):
         """All monoid elements of grading degree <= bound, mapped to a witness
-        coefficient vector over the generators.  Positive monoids only."""
-        data = self._slice_data(bound)
-        return {el: wit for el, (wit, d) in data.items() if d <= bound}
+        coefficient vector over the generators, in sorted order.  Positive
+        monoids only."""
+        return self._slice_data(bound).witnesses(bound)
 
     def filtration_weight(self, a):
         """Subadditive weight usable on non-positive hosts: sum of |free coords|."""
@@ -168,8 +151,6 @@ class CancellativeMonoid:
         if r > 3:
             raise ValueError("filtered enumeration limited to rank <= 3 ambients")
         out = []
-        from itertools import product
-
         tor = self.ambient.torsion_elements()
         for free in product(range(-bound, bound + 1), repeat=r):
             if sum(abs(x) for x in free) > bound:
@@ -217,6 +198,172 @@ class CancellativeMonoid:
         if "uq" not in self._cache:
             self._cache["uq"] = UnitQuotient(self)
         return self._cache["uq"]
+
+
+class GradedSlice:
+    """The elements of degree <= bound of a positive monoid M, each with its
+    witness and degree, on packed integer keys.
+
+    An element of degree <= bound is a sum of at most bound generators
+    (every generator has degree >= 1), so its free coordinates lie in the
+    box |x_t| <= e_t = bound * max_g |g_t|.  A key packs the free
+    coordinates, offset by 3 e_t, in mixed radix 6 e_t + 1 (the first
+    coordinate most significant), followed by one index of the torsion
+    coordinates (mixed radix over the moduli).  Keys sort as the tuples do.
+    Adding or subtracting a fixed element v is one integer addition of a
+    shift that depends only on the torsion index: key + shift[key % order].
+    That is exact for every slice element x and every v with |v_t| <= 2 e_t,
+    since x + v then stays in the key box |x_t| <= 3 e_t; an element with a
+    larger coordinate is never the difference of two slice elements.
+    Queries from outside pack through key(), which answers None for an
+    element outside the box instead of wrapping it onto another key.
+
+    entries maps each key to (witness, degree), in the order the search
+    first reached it.
+    """
+
+    def __init__(self, M, bound):
+        amb = M.ambient
+        gens = M.generators
+        r = amb.free_rank
+        self.bound = bound
+        self._rank = r
+        reach = max(bound, 0)
+        self._reach = [reach * max((abs(g[t]) for g in gens), default=0) for t in range(r)]
+        self._torsion = amb.torsion
+        self._torsion_tuples = list(product(*(range(d) for d in amb.torsion)))
+        self.order = len(self._torsion_tuples)
+        places, place = [], self.order
+        for e in reversed(self._reach):
+            places.append(place)
+            place *= 6 * e + 1
+        self._places = places[::-1]
+        self.zero = sum(3 * e * p for e, p in zip(self._reach, self._places))
+        self.entries = _graded_search(
+            bound, [M.degree(g) for g in gens], [self._shift(g) for g in gens], self.zero, self.order
+        )
+        self._sorted = self._elements = None
+
+    def _torsion_index(self, tors):
+        t = 0
+        for x, d in zip(tors, self._torsion):
+            t = t * d + x
+        return t
+
+    def _shift(self, v):
+        """Per torsion index, what adding the reduced element v adds to a key."""
+        free = sum(map(mul, v, self._places))
+        tv = v[self._rank:]
+        return [
+            free + self._torsion_index([(a + b) % d for a, b, d in zip(t, tv, self._torsion)]) - i
+            for i, t in enumerate(self._torsion_tuples)
+        ]
+
+    def key(self, a):
+        """The key of the reduced element a, or None when a lies outside the
+        box, where no slice element lies."""
+        k = self.zero
+        for x, e, p in zip(a, self._reach, self._places):
+            if not -e <= x <= e:
+                return None
+            k += x * p
+        if self.order > 1:
+            k += self._torsion_index(a[self._rank:])
+        return k
+
+    def get(self, a):
+        """(witness, degree) of the reduced element a, or None when a is not
+        in the slice."""
+        k = self.key(a)
+        return None if k is None else self.entries.get(k)
+
+    def element(self, key):
+        """The ambient element of a key."""
+        f, t = divmod(key, self.order)
+        free = []
+        for e in reversed(self._reach):
+            f, c = divmod(f, 6 * e + 1)
+            free.append(c - 3 * e)
+        return tuple(free[::-1]) + self._torsion_tuples[t]
+
+    def minus(self, vs):
+        """The shifts that subtract each reduced element v of vs from a slice
+        key: key + shift[key % order].  A v with a coordinate beyond twice
+        the box is left out, since it is never the difference of two slice
+        elements."""
+        r = self._rank
+        return [
+            self._shift(tuple(-x for x in v[:r]) + tuple(-x % d for x, d in zip(v[r:], self._torsion)))
+            for v in vs
+            if all(-2 * e <= x <= 2 * e for x, e in zip(v, self._reach))
+        ]
+
+    def below(self, key, shifts):
+        """The slice keys among key - v, for the v of shifts (from minus) in
+        their order; key is a slice key or a key from key()."""
+        entries, t = self.entries, key % self.order
+        return [y for y in (key + s[t] for s in shifts) if y in entries]
+
+    def generated(self, key, shifts):
+        """Whether key - v is a slice element for some v of shifts."""
+        entries, t = self.entries, key % self.order
+        return any(key + s[t] in entries for s in shifts)
+
+    def _in_order(self):
+        """The keys sorted and their degrees, sorted once per slice."""
+        if self._sorted is None:
+            entries = self.entries
+            keys = sorted(entries)
+            self._sorted = keys, [entries[k][1] for k in keys]
+        return self._sorted
+
+    def sorted_keys(self, bound):
+        """The keys of degree <= bound, sorted."""
+        keys, degs = self._in_order()
+        return [k for k, d in zip(keys, degs) if d <= bound]
+
+    def _unpacked(self):
+        """The sorted keys, their elements and degrees; every element is
+        unpacked once per slice."""
+        keys, degs = self._in_order()
+        if self._elements is None:
+            self._elements = [self.element(k) for k in keys]
+        return keys, self._elements, degs
+
+    def elements(self, bound):
+        """The elements of degree <= bound, sorted."""
+        _, elements, degs = self._unpacked()
+        return [x for x, d in zip(elements, degs) if d <= bound]
+
+    def witnesses(self, bound):
+        """Element -> witness for the elements of degree <= bound, sorted."""
+        entries = self.entries
+        return {x: entries[k][0] for k, x, d in zip(*self._unpacked()) if d <= bound}
+
+
+def _graded_search(bound, degs, shifts, zero, order):
+    """Key -> (witness, degree) for every sum of generators of degree <=
+    bound, breadth first from zero, in the order first reached."""
+    wit = (0,) * len(degs)
+    entries = {zero: (wit, 0)}
+    frontier = [(zero, wit, 0)]
+    moves = list(zip(range(len(degs)), degs, shifts))
+    while frontier:
+        new = []
+        for key, coeffs, d in frontier:
+            t = key % order
+            for i, dg, shift in moves:
+                nd = d + dg
+                if nd <= bound:
+                    nxt = key + shift[t]
+                    if nxt not in entries:
+                        wit = list(coeffs)
+                        wit[i] += 1
+                        wit = tuple(wit)
+                        entries[nxt] = (wit, nd)
+                        new.append((nxt, wit, nd))
+        frontier = new
+    return entries
 
 
 class TorsionQuotient:
@@ -336,7 +483,7 @@ class UnitQuotient:
         if self.quotient.grading() is None:
             raise RuntimeError(f"M/U of {M!r} admits no positive grading")
         self._lift_index = [first[v] for v in self.quotient.generators]
-        self._negations = [self._negation(j) for j in self.units]
+        self._negations = {}  # unit generator index -> _negation, on first use
 
     def project(self, x):
         """Coordinates of the image of x in G/U."""
@@ -394,10 +541,13 @@ class UnitQuotient:
         z = solve_smith(self._snf, h)
         if z is None:
             raise RuntimeError(f"{a} and its lifted witness differ outside U")
-        for j, e, neg in zip(self.units, z, self._negations):
+        for j, e in zip(self.units, z):
             if e >= 0:
                 coeffs[j] += e
             else:
+                neg = self._negations.get(j)
+                if neg is None:
+                    neg = self._negations[j] = self._negation(j)
                 for i, c in enumerate(neg):
                     coeffs[i] -= e * c
         if _combine(coeffs, gens, amb) != a:
@@ -406,7 +556,7 @@ class UnitQuotient:
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _combine(coeffs, gens, ambient):
@@ -456,10 +606,12 @@ def _group_closure(gens, ambient):
 def member(M, a):
     """Exact membership of a in M, with a witness over M.generators.
 
-    Positive monoids are searched through their grading, slice by slice.  A
-    monoid with units answers through the positive monoid M/U(M), and its
-    witness is lifted back to M and checked in the ambient group.  The
-    answer is "yes" with a witness, or "no", which is a proof.
+    Positive monoids are searched through their grading, slice by slice:
+    a is looked up in the slice up to its degree, after a range check that
+    answers "no" for an element outside the box of the slice.  A monoid with
+    units answers through the positive monoid M/U(M), and its witness is
+    lifted back to M and checked in the ambient group.  The answer is "yes"
+    with a witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the
@@ -587,12 +739,6 @@ class PcMonoid:
             return COLLAPSED
         s = self.base.ambient.add(x, y)
         return COLLAPSED if self.collapsed(s) else s
-
-    def classes_slice(self, bound):
-        """Non-collapsed classes of grading degree <= bound."""
-        return sorted(
-            el for el in self.base.slice(bound) if not self.collapsed(el)
-        )
 
     def __eq__(self, other):
         return (
@@ -763,7 +909,7 @@ def _irreducible_generators(M):
     data = M._slice_data(max(degs))
     return [
         g for g, d in zip(gens, degs)
-        if not any(e < d and amb.sub(g, h) in data for h, e in zip(gens, degs))
+        if not any(e < d and data.get(amb.sub(g, h)) for h, e in zip(gens, degs))
     ]
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from monoidforge.lattice import (
     AbelianGroupShape,
     _covector_from_span,
-    cone_is_pointed,
-    det,
     diagonal_of,
     element_in_subgroup,
     facet_normals,
@@ -38,6 +36,31 @@ def smith_invariants_oracle(m):
 
     facs = [int(x) for x in invariant_factors(Matrix(m)) if int(x) != 0]
     return [abs(x) for x in facs]
+
+
+def det(m):
+    """Determinant by fraction-free expansion; only used on small matrices."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * det(minor)
+    return total
+
+
+def cone_is_pointed(vectors, dim):
+    normals = facet_normals(vectors, dim)
+    if dim == 0:
+        return True
+    if not normals:
+        return False
+    return rank_of([list(n) for n in normals]) == dim
 
 
 def check_snf(m):
