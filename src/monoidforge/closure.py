@@ -9,10 +9,10 @@ at the adjunction stage.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .lattice import (
     AbelianGroupShape,
+    Echelon,
     facet_normals,
     integer_kernel,
     rank_of,
@@ -20,6 +20,7 @@ from .lattice import (
     solve_smith,
     unimodular_inverse,
 )
+from .rings import QQ
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
 from .cones import bar_face_submonoid, face_lattice, interior_member
 
@@ -58,18 +59,28 @@ def hilbert_basis(gens, dim):
     gens = sorted({tuple(g) for g in gens if any(g)})
     if dim == 0 or not gens:
         return []
-    normals = facet_normals(gens, dim)
-    if dim > 0 and rank_of([list(n) for n in normals]) != dim:
+    return _hilbert_basis(gens, dim, facet_normals(gens, dim))
+
+
+def _hilbert_basis(gens, dim, normals):
+    """hilbert_basis of the sorted distinct nonzero gens, given the facet
+    normals of their cone."""
+    if rank_of([list(n) for n in normals]) != dim:
         raise ValueError("hilbert_basis requires a pointed cone")
     w = tuple(sum(n[j] for n in normals) for j in range(dim))
     wdeg = lambda v: sum(a * b for a, b in zip(w, v))
     degs = {g: wdeg(g) for g in gens}
     assert all(d >= 1 for d in degs.values())
+    # the largest degree sum of an independent generator subset: every
+    # degree is positive and linear independence is a matroid, so a basis
+    # taken greedily in descending degree attains it
+    E = Echelon(QQ)
     B = 0
-    for size in range(1, dim + 1):
-        for subset in combinations(gens, size):
-            if rank_of([list(v) for v in subset]) == size:
-                B = max(B, sum(degs[v] for v in subset))
+    for g in sorted(gens, key=degs.get, reverse=True):
+        if E.insert(g, dict(enumerate(g))) is None:
+            B += degs[g]
+            if E.rank == dim:
+                break
     points = _cone_points_up_to(gens, normals, w, B, dim)
     pset = set(points)
     by_degree = sorted(points, key=wdeg)
@@ -162,7 +173,7 @@ def _saturate_cone_lattice(vectors, dim):
     normals = facet_normals(vectors, dim)
     lin_rank = dim - rank_of([list(n) for n in normals]) if normals else dim
     if lin_rank == 0:
-        return [tuple(h) for h in hilbert_basis(vectors, dim)]
+        return _hilbert_basis(sorted(set(vectors)), dim, normals)
     if normals:
         lin_basis = integer_kernel([list(n) for n in normals])
     else:

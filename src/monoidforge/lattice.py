@@ -14,9 +14,8 @@ rings.Ring field.  Matrices are plain lists of lists.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
-from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
+from operator import add as _add, mod as _mod, mul as _mul, neg as _neg, sub as _sub
 
 from .rings import QQ
 
@@ -433,37 +432,95 @@ def subgroup_shape(generators, ambient):
 # cone facets
 
 
-def facet_normals(vectors, dim):
-    """Primitive inward facet normals of cone(vectors), full-dimensional in Z^dim.
+def _dot(u, v):
+    return sum(map(_mul, u, v))
 
-    Exhaustive over (dim-1)-subsets of the generators: every facet of a
-    full-dimensional cone is spanned by generators lying on it.  Vectors with
-    mixed signs on a candidate hyperplane reject it.
+
+def _combine(a, x, b, y):
+    """primitive(a * x - b * y) for integer vectors x, y."""
+    return primitive([a * s - b * t for s, t in zip(x, y)])
+
+
+def double_description(vectors, dim):
+    """The dual cone {n in Q^dim : v . n >= 0 for every v of vectors}, by
+    Motzkin's double description over exact integers, one constraint at a
+    time.
+
+    Returns (lineality, rays, pivots): a basis of the lineality space, the
+    primitive extreme rays modulo it, and the indices of the vectors that
+    met the lineality of the constraints before them (the first vector of
+    each new rank, a basis of their span).  The lineality space is the
+    orthogonal complement of that span, so it is empty exactly when the
+    vectors span Q^dim; the rays are then the inward facet normals of
+    cone(vectors), and in general the facet normals of the cone inside its
+    span, each up to a vector of the lineality.
+
+    Start from the lineality basis e_1 ... e_dim.  A constraint v that is
+    nonzero on some lineality vector l turns l, oriented so that v . l > 0,
+    into a ray, and combines every other lineality vector and every ray
+    with l so that v vanishes on it.  Otherwise the rays with v . r >= 0
+    stay, and each adjacent pair of a positive and a negative ray gives the
+    combination on which v vanishes.  Two rays are adjacent when no third
+    ray is tight on every constraint tight on both; the tight constraints
+    of each ray are kept as a bitset.
     """
-    vecs = [tuple(v) for v in vectors if any(v)]
-    if dim == 0:
-        return []
-    if dim == 1:
-        signs = {1 if v[0] > 0 else -1 for v in vecs}
-        if signs == {1}:
-            return [(1,)]
-        if signs == {-1}:
-            return [(-1,)]
-        return []  # cone is all of R
-    found = set()
-    for subset in combinations(range(len(vecs)), dim - 1):
-        # dim - 1 rows leave dim - rank kernel vectors: exactly one when the
-        # subset spans a hyperplane
-        ker = integer_kernel([list(vecs[i]) for i in subset])
-        if len(ker) != 1:
-            continue
-        n = primitive(ker[0])
-        vals = [sum(a * b for a, b in zip(n, v)) for v in vecs]
-        if all(x >= 0 for x in vals):
-            found.add(n)
-        elif all(x <= 0 for x in vals):
-            found.add(tuple(-x for x in n))
-    return sorted(found)
+    lin = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    rays = []  # (ray, bitset of the constraints vanishing on it)
+    pivots = []
+    done = 0  # bitset of the constraints added so far
+    for idx, v in enumerate(vectors):
+        bit = 1 << idx
+        vals = [_dot(v, l) for l in lin]
+        p = next((i for i, x in enumerate(vals) if x), None)
+        if p is not None:
+            l0, a0 = lin.pop(p), vals.pop(p)
+            if a0 < 0:
+                l0, a0 = tuple(-x for x in l0), -a0
+            lin = [_combine(a0, l, x, l0) if x else l for l, x in zip(lin, vals)]
+            moved = []
+            for r, m in rays:
+                x = _dot(v, r)
+                moved.append((_combine(a0, r, x, l0) if x else r, m | bit))
+            rays = moved
+            rays.append((l0, done))
+            pivots.append(idx)
+        else:
+            pos, neg, kept = [], [], []
+            for r, m in rays:
+                x = _dot(v, r)
+                if x > 0:
+                    pos.append((r, m, x))
+                    kept.append((r, m))
+                elif x < 0:
+                    neg.append((r, m, x))
+                else:
+                    kept.append((r, m | bit))
+            if neg:
+                # a pair spans a 2-face only if the constraints tight on
+                # both have rank dim - len(lin) - 2
+                need = dim - len(lin) - 2
+                masks = [m for _, m in rays]
+                for r, mr, x in pos:
+                    for s, ms, y in neg:
+                        z = mr & ms
+                        if z.bit_count() < need:
+                            continue
+                        if any(t & z == z and t != mr and t != ms for t in masks):
+                            continue
+                        kept.append((_combine(x, s, y, r), z | bit))
+            rays = kept
+        done |= bit
+    return lin, [r for r, _ in rays], pivots
+
+
+def facet_normals(vectors, dim):
+    """Primitive inward facet normals of cone(vectors), full-dimensional in
+    Z^dim, sorted: the extreme rays of the dual cone, by double description.
+    A cone that does not span Z^dim raises ValueError."""
+    lin, rays, _ = double_description([v for v in vectors if any(v)], dim)
+    if lin:
+        raise ValueError(f"facet_normals needs a cone spanning Z^{dim}")
+    return sorted(rays)
 
 
 # ---------------------------------------------------------------------------
@@ -554,24 +611,22 @@ def grading_for(generators, ambient):
     nonzero = [f for f in frees if any(f)]
     if not nonzero:
         return (0,) * r
-    # one elimination with the free parts as columns and as right-hand
-    # sides: free unknowns are set to 0, so a column's own solution has a 1
-    # there exactly when it is a pivot.  The pivots are a basis of the span
-    # (the first column of each new rank), and the solutions restricted to
-    # them are coordinates in which the cone is full-dimensional.
-    mat = [[f[i] for f in nonzero] for i in range(r)]
-    _, _, sols = field_eliminate(QQ, mat, nonzero)
-    pivots = [j for j, x in enumerate(sols) if x[j] == 1]
-    span_rank = len(pivots)
-    coords = [tuple(x[j] for j in pivots) for x in sols]
-    normals = facet_normals_rational(coords, span_rank)
-    w_span = [sum(n[i] for n in normals) for i in range(span_rank)]
-    if any(sum(ws * c for ws, c in zip(w_span, f)) <= 0 for f in coords):
+    # one double description of the cone in Z^r: the pivots are a basis of
+    # the span, and a ray n gives the facet normal (n . b_j)_j in the
+    # coordinates of the pivots b_j, whatever its part in the lineality
+    # (the orthogonal complement of the span).  Their sum w_span is > 0 on
+    # a generator exactly when some ray is.
+    _, rays, pivots = double_description(nonzero, r)
+    if not all(any(_dot(n, f) > 0 for n in rays) for f in nonzero):
         return None
+    basis = [nonzero[j] for j in pivots]
+    span_rank = len(basis)
+    normals = [primitive([_dot(n, b) for b in basis]) for n in rays]
+    w_span = [sum(n[i] for n in normals) for i in range(span_rank)]
     # pull w back to an integer covector on Z^r: w(x) = w_span . coords(x);
     # only values on the generator span matter, so solve for an integer row.
-    basis = [[row[j] for j in pivots] for row in mat]  # columns = pivots
-    w = _covector_from_span(basis, w_span, r, span_rank)
+    bmat = [[b[i] for b in basis] for i in range(r)]  # columns = pivots
+    w = _covector_from_span(bmat, w_span, r, span_rank)
     if w is None:
         return None
     if any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):
@@ -719,11 +774,6 @@ def clear_denominators(vec):
     """(N, N * vec) for a rational vector, N the lcm of its denominators."""
     N = lcm(*(x.denominator for x in vec))
     return N, tuple(x.numerator * (N // x.denominator) for x in vec)
-
-
-def facet_normals_rational(vectors, dim):
-    """facet_normals for vectors with Fraction entries (cleared to ints)."""
-    return facet_normals([clear_denominators(v)[1] for v in vectors], dim)
 
 
 def _covector_from_span(basis_mat, w_span, r, span_rank):

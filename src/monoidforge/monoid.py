@@ -12,12 +12,14 @@ there is lifted back to M through the unit generators (UnitQuotient).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from operator import mul
 
 from .lattice import (
     AbelianGroupShape,
+    _dot,
     clear_denominators,
     diagonal_of,
     element_in_subgroup,
@@ -215,8 +217,9 @@ class GradedSlice:
     That is exact for every slice element x and every v with |v_t| <= 2 e_t,
     since x + v then stays in the key box |x_t| <= 3 e_t; an element with a
     larger coordinate is never the difference of two slice elements.
-    Queries from outside pack through key(), which answers None for an
-    element outside the box instead of wrapping it onto another key.
+    Queries from outside pack through key(a), which gives the key of the
+    reduced element a, or None when a lies outside the box, where no slice
+    element lies, instead of wrapping it onto another key.
 
     entries maps each key to (witness, degree), in the order the search
     first reached it.
@@ -239,37 +242,27 @@ class GradedSlice:
             place *= 6 * e + 1
         self._places = places[::-1]
         self.zero = sum(3 * e * p for e, p in zip(self._reach, self._places))
+        tplaces, place = [], 1
+        for d in reversed(self._torsion):
+            tplaces.append(place)
+            place *= d
+        self._tplaces = tplaces[::-1]  # the torsion index is sum t_j * tplaces_j
+        self.key = _key_function(r, len(self._torsion))(
+            self.zero, *(-e for e in self._reach), *self._reach, *self._places, *self._tplaces
+        )
         self.entries = _graded_search(
             bound, [M.degree(g) for g in gens], [self._shift(g) for g in gens], self.zero, self.order
         )
         self._sorted = self._elements = None
-
-    def _torsion_index(self, tors):
-        t = 0
-        for x, d in zip(tors, self._torsion):
-            t = t * d + x
-        return t
 
     def _shift(self, v):
         """Per torsion index, what adding the reduced element v adds to a key."""
         free = sum(map(mul, v, self._places))
         tv = v[self._rank:]
         return [
-            free + self._torsion_index([(a + b) % d for a, b, d in zip(t, tv, self._torsion)]) - i
+            free + sum((a + b) % d * q for a, b, d, q in zip(t, tv, self._torsion, self._tplaces)) - i
             for i, t in enumerate(self._torsion_tuples)
         ]
-
-    def key(self, a):
-        """The key of the reduced element a, or None when a lies outside the
-        box, where no slice element lies."""
-        k = self.zero
-        for x, e, p in zip(a, self._reach, self._places):
-            if not -e <= x <= e:
-                return None
-            k += x * p
-        if self.order > 1:
-            k += self._torsion_index(a[self._rank:])
-        return k
 
     def get(self, a):
         """(witness, degree) of the reduced element a, or None when a is not
@@ -339,6 +332,38 @@ class GradedSlice:
         """Element -> witness for the elements of degree <= bound, sorted."""
         entries = self.entries
         return {x: entries[k][0] for k, x, d in zip(*self._unpacked()) if d <= bound}
+
+
+@lru_cache(maxsize=None)
+def _key_function(rank, ntorsion):
+    """A maker of GradedSlice.key for ambients of this shape.
+
+    make(zero, -e_1..-e_rank, e_1..e_rank, p_1..p_rank, q_1..q_ntorsion)
+    returns the function that unpacks a reduced element into locals, checks
+    |x_t| <= e_t and returns zero + sum x_t p_t + sum y_j q_j, or None.
+    The source is written and compiled once per shape: a loop over the
+    coordinates costs about three times as much per call.
+    """
+    xs = [f"x{t}" for t in range(rank)]
+    ys = [f"y{j}" for j in range(ntorsion)]
+    ls = [f"l{t}" for t in range(rank)]
+    es = [f"e{t}" for t in range(rank)]
+    ps = [f"p{t}" for t in range(rank)]
+    qs = [f"q{j}" for j in range(ntorsion)]
+    box = " and ".join(f"{l} <= {x} <= {e}" for l, x, e in zip(ls, xs, es)) or "True"
+    total = " + ".join(["zero"] + [f"{x} * {p}" for x, p in zip(xs + ys, ps + qs)])
+    src = (
+        f"def make({', '.join(['zero'] + ls + es + ps + qs)}):\n"
+        f"    def key(a):\n"
+        f"        ({''.join(v + ', ' for v in xs + ys)}) = a\n"
+        f"        if {box}:\n"
+        f"            return {total}\n"
+        f"        return None\n"
+        f"    return key\n"
+    )
+    scope = {}
+    exec(compile(src, f"<GradedSlice.key rank {rank} torsion {ntorsion}>", "exec"), scope)
+    return scope["make"]
 
 
 def _graded_search(bound, degs, shifts, zero, order):
@@ -553,10 +578,6 @@ class UnitQuotient:
         if _combine(coeffs, gens, amb) != a:
             raise RuntimeError(f"lifted witness for {a} does not verify")
         return tuple(coeffs)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
 
 
 def _combine(coeffs, gens, ambient):

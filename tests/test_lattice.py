@@ -1,17 +1,22 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoidforge.lattice import (
     AbelianGroupShape,
     _covector_from_span,
+    clear_denominators,
     diagonal_of,
+    double_description,
     element_in_subgroup,
     facet_normals,
-    facet_normals_rational,
     field_eliminate,
     grading_for,
     integer_kernel,
@@ -253,6 +258,153 @@ def test_facet_normals_against_oracle():
         assert got == want, (gens, got, want)
 
 
+def _subset_facet_oracle(vectors, dim):
+    """facet_normals as it was before double description, verbatim.
+
+    Exhaustive over (dim-1)-subsets of the generators: every facet of a
+    full-dimensional cone is spanned by generators lying on it.  Vectors with
+    mixed signs on a candidate hyperplane reject it.
+    """
+    vecs = [tuple(v) for v in vectors if any(v)]
+    if dim == 0:
+        return []
+    if dim == 1:
+        signs = {1 if v[0] > 0 else -1 for v in vecs}
+        if signs == {1}:
+            return [(1,)]
+        if signs == {-1}:
+            return [(-1,)]
+        return []  # cone is all of R
+    found = set()
+    for subset in combinations(range(len(vecs)), dim - 1):
+        # dim - 1 rows leave dim - rank kernel vectors: exactly one when the
+        # subset spans a hyperplane
+        ker = integer_kernel([list(vecs[i]) for i in subset])
+        if len(ker) != 1:
+            continue
+        n = primitive(ker[0])
+        vals = [sum(a * b for a, b in zip(n, v)) for v in vecs]
+        if all(x >= 0 for x in vals):
+            found.add(n)
+        elif all(x <= 0 for x in vals):
+            found.add(tuple(-x for x in n))
+    return sorted(found)
+
+
+def _random_cone(rng, dim):
+    """Generators of a random full-dimensional cone in Z^dim: pointed or
+    not, with repeated, zero and negative generators."""
+    lo = rng.choice([-3, -1, 0, 0])
+    n = dim + rng.randint(0, 4 if dim < 5 else 3)
+    while True:
+        gens = [tuple(rng.randint(lo, 3) for _ in range(dim)) for _ in range(n)]
+        if rng.random() < 0.3:
+            gens.append(gens[0])
+        if rng.random() < 0.25:
+            # a line in the cone
+            gens.append(tuple(-x for x in gens[-1]))
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens)), (0,) * dim)
+        if rank_of([list(g) for g in gens]) == dim:
+            return gens
+
+
+def test_facet_engine_matches_subset_search():
+    rng = random.Random(12)
+    pointed = {True: 0, False: 0}
+    for dim in range(1, 7):
+        for _ in range(60 if dim < 5 else 20):
+            gens = _random_cone(rng, dim)
+            got = facet_normals(gens, dim)
+            assert got == _subset_facet_oracle(gens, dim), (dim, gens)
+            if dim > 1:
+                pointed[cone_is_pointed(gens, dim)] += 1
+    assert min(pointed.values()) > 20, pointed
+
+
+def test_facet_engine_on_moment_curves():
+    for n in range(3, 16):
+        gens = [(1, i, i * i) for i in range(n)]
+        assert facet_normals(gens, 3) == _subset_facet_oracle(gens, 3)
+    for n in range(4, 10):
+        gens = [(1, i, i * i, i ** 3) for i in range(n)]
+        got = facet_normals(gens, 4)
+        assert got == _subset_facet_oracle(gens, 4)
+        # a cyclic polytope with n vertices in dimension 3 has 2n - 4 facets
+        assert len(got) == 2 * n - 4
+
+
+@st.composite
+def full_cones(draw):
+    dim = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim, max_size=dim + 4))
+    assume(rank_of([list(g) for g in gens]) == dim)
+    return gens, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_cones())
+def test_facet_engine_hypothesis(case):
+    gens, dim = case
+    assert facet_normals(gens, dim) == _subset_facet_oracle(gens, dim)
+
+
+def test_double_description_of_lower_rank_cones():
+    # the cone of (1,1,0), (1,-1,0), (2,0,0): a wedge in the plane x3 = 0
+    lin, rays, pivots = double_description([(1, 1, 0), (1, -1, 0), (2, 0, 0)], 3)
+    assert pivots == [0, 1]
+    assert [sum(a * b for a, b in zip(l, (1, 1, 0))) for l in lin] == [0]
+    assert [sum(a * b for a, b in zip(l, (1, -1, 0))) for l in lin] == [0]
+    # two facets, normal to (1,1,0) and (1,-1,0) inside the plane
+    assert len(rays) == 2
+    for n in rays:
+        vals = [sum(a * b for a, b in zip(n, v)) for v in [(1, 1, 0), (1, -1, 0)]]
+        assert min(vals) == 0 and max(vals) > 0
+    with pytest.raises(ValueError):
+        facet_normals([(1, 1, 0), (1, -1, 0)], 3)
+    with pytest.raises(ValueError):
+        facet_normals([], 2)
+    assert facet_normals([], 0) == []
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+FACET_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "facet_golden.json")
+
+FACET_COUNT = """
+import json, sys
+import monoidforge.lattice as lat
+
+calls = [0]
+snf = lat.smith_normal_form
+
+def counted(*args):
+    calls[0] += 1
+    return snf(*args)
+
+lat.smith_normal_form = counted
+case = json.load(open(sys.argv[1]))
+normals = lat.facet_normals([tuple(g) for g in case["generators"]], case["dim"])
+print(json.dumps({"smith_normal_form": calls[0], "normals": normals}))
+"""
+
+
+def test_facet_engine_has_no_subset_wall():
+    """40 generators in dimension 5 (C(40, 4) = 91,390 subsets, each with a
+    Smith form, for the subset search): no Smith form at all in a fresh
+    process, and the facets that _subset_facet_oracle recorded for them in
+    tests/data/facet_golden.json."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", FACET_COUNT, FACET_GOLDEN],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(FACET_GOLDEN) as f:
+        want = json.load(f)["normals"]
+    assert report == {"smith_normal_form": 0, "normals": want}
+
+
 def test_grading_for():
     z2 = AbelianGroupShape(2)
     w = grading_for([(1, 0), (1, 1), (1, 2)], z2)
@@ -293,6 +445,12 @@ def test_smith_columns_give_inverse_columns():
             if d:
                 assert all(AV[i][j] % d == 0 for i in range(rows))
                 assert [AV[i][j] // d for i in range(rows)] == [u_inv[i][j] for i in range(rows)]
+
+
+def facet_normals_rational(vectors, dim):
+    """facet_normals for vectors with Fraction entries (cleared to ints),
+    by the subset search."""
+    return _subset_facet_oracle([clear_denominators(v)[1] for v in vectors], dim)
 
 
 def grading_for_oracle(generators, ambient):
@@ -344,6 +502,69 @@ def test_grading_for_against_oracle():
                 free = tuple(rng.randint(lo, 3) for _ in range(r))
             gens.append(tuple(free) + tuple(rng.randrange(d) for d in torsion))
         assert grading_for(gens, amb) == grading_for_oracle(gens, amb), (amb, gens)
+
+
+def grading_for_elimination_oracle(generators, ambient):
+    """grading_for as it was before double description, verbatim: one
+    elimination for the pivots and span coordinates, then a second facet
+    search over those coordinates."""
+    r = ambient.free_rank
+    frees = [tuple(g[:r]) for g in generators]
+    if any(not any(f) and any(g) for f, g in zip(frees, generators)):
+        return None
+    nonzero = [f for f in frees if any(f)]
+    if not nonzero:
+        return (0,) * r
+    # one elimination with the free parts as columns and as right-hand
+    # sides: free unknowns are set to 0, so a column's own solution has a 1
+    # there exactly when it is a pivot.  The pivots are a basis of the span
+    # (the first column of each new rank), and the solutions restricted to
+    # them are coordinates in which the cone is full-dimensional.
+    mat = [[f[i] for f in nonzero] for i in range(r)]
+    _, _, sols = field_eliminate(QQ, mat, nonzero)
+    pivots = [j for j, x in enumerate(sols) if x[j] == 1]
+    span_rank = len(pivots)
+    coords = [tuple(x[j] for j in pivots) for x in sols]
+    normals = facet_normals_rational(coords, span_rank)
+    w_span = [sum(n[i] for n in normals) for i in range(span_rank)]
+    if any(sum(ws * c for ws, c in zip(w_span, f)) <= 0 for f in coords):
+        return None
+    # pull w back to an integer covector on Z^r: w(x) = w_span . coords(x);
+    # only values on the generator span matter, so solve for an integer row.
+    basis = [[row[j] for j in pivots] for row in mat]  # columns = pivots
+    w = _covector_from_span(basis, w_span, r, span_rank)
+    if w is None:
+        return None
+    if any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):
+        return None
+    return tuple(w)
+
+
+def test_grading_for_against_elimination_oracle():
+    """Ambients with torsion, spans of lower rank inside Z^r (generators
+    drawn from a random sublattice), mixed signs and repeated free parts."""
+    rng = random.Random(21)
+    lower = 0
+    for _ in range(600):
+        r = rng.randint(1, 4)
+        torsion = rng.choice([(), (2,), (3,), (2, 4)])
+        amb = AbelianGroupShape(r, torsion)
+        k = rng.randint(1, r)
+        frame = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+        lo = rng.choice([-2, 0, 0])
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            if gens and rng.random() < 0.2:
+                free = gens[rng.randrange(len(gens))][:r]
+            else:
+                c = [rng.randint(lo, 3) for _ in range(k)]
+                free = tuple(sum(ci * row[t] for ci, row in zip(c, frame)) for t in range(r))
+            gens.append(tuple(free) + tuple(rng.randrange(d) for d in torsion))
+        want = grading_for_elimination_oracle(gens, amb)
+        assert grading_for(gens, amb) == want, (amb, gens)
+        frees = [list(g[:r]) for g in gens if any(g[:r])]
+        lower += want is not None and frees != [] and rank_of(frees) < r
+    assert lower > 50, lower
 
 
 def test_rational_feasibility():
