@@ -75,17 +75,42 @@ class MonoidAlgebraBase:
 
 
 def monoid_keys_by_weight(M, weight_fn, bound):
-    """Monoid elements with weight_fn <= bound.
+    """Monoid elements with weight_fn <= bound, sorted; weight_fn None is
+    the canonical degree of a positive M, else the filtration weight.
+
+    One key list per weight function is kept in M._cache: the list of the
+    largest bound asked so far, each key with its level, the least bound
+    whose list holds it.  A smaller bound is read off the levels in the same
+    order; a larger one computes the list again and replaces it, so the
+    answer never depends on earlier calls.  A negative bound lists nothing.
+    """
+    if bound < 0:
+        return []
+    lists = M._cache.setdefault("key_lists", {})
+    cached = lists.get(weight_fn)
+    if cached is None or cached[0] < bound:
+        cached = lists[weight_fn] = (bound, *_keys_and_levels(M, weight_fn, bound))
+    _, keys, levels = cached
+    return [k for k, level in zip(keys, levels) if level <= bound]
+
+
+def _keys_and_levels(M, weight_fn, bound):
+    """The sorted key list of bound and the level of each key.
 
     When M carries its canonical grading, any other monoid-linear weight w
-    satisfies deg <= (max_g deg(g)/w(g)) * w on all of M, so a scaled slice
-    enumeration covers the window; otherwise the box-scan filtration is used.
+    with w(g) > 0 on every generator satisfies deg <= factor * w on all of
+    M, factor = max_g deg(g)/w(g) rounded up, so the slice to degree
+    bound * factor covers the window; a key is listed at b when w <= b and
+    deg <= b * factor, so its level is the larger of w and deg/factor
+    rounded up (w itself for a monoid-linear w).  Otherwise the box scan of
+    filtration weight <= bound is filtered by the weight, and the level is
+    the larger of the two.
     """
     from math import ceil
 
     if M.grading() is not None:
         if weight_fn is None:
-            return M._slice_data(bound).elements(bound)
+            return M._slice_data(bound).elements_and_degrees(bound)
         factor = 1
         for g in M.generators:
             wg = weight_fn(g)
@@ -94,10 +119,22 @@ def monoid_keys_by_weight(M, weight_fn, bound):
                 break
             factor = max(factor, ceil(M.degree(g) / wg))
         if factor is not None:
-            top = bound * factor
-            return [k for k in M._slice_data(top).elements(top) if weight_fn(k) <= bound]
-    jump = M.filtration_weight if weight_fn is None else weight_fn
-    return [k for k in M.filtered_elements(bound) if jump(k) <= bound]
+            keys, levels = [], []
+            for k, deg in zip(*M._slice_data(bound * factor).elements_and_degrees(bound * factor)):
+                w = weight_fn(k)
+                if w <= bound:
+                    keys.append(k)
+                    levels.append(max(w, -(-deg // factor)))
+            return keys, levels
+    fw = M.filtration_weight
+    jump = fw if weight_fn is None else weight_fn
+    keys, levels = [], []
+    for k in M.filtered_elements(bound):
+        level = max(jump(k), fw(k))
+        if level <= bound:
+            keys.append(k)
+            levels.append(level)
+    return keys, levels
 
 
 class CancellativeAlgebra(MonoidAlgebraBase):

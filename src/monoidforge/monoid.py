@@ -325,8 +325,13 @@ class GradedSlice:
 
     def elements(self, bound):
         """The elements of degree <= bound, sorted."""
+        return self.elements_and_degrees(bound)[0]
+
+    def elements_and_degrees(self, bound):
+        """The elements of degree <= bound, sorted, and their degrees."""
         _, elements, degs = self._unpacked()
-        return [x for x, d in zip(elements, degs) if d <= bound]
+        keep = [i for i, d in enumerate(degs) if d <= bound]
+        return [elements[i] for i in keep], [degs[i] for i in keep]
 
     def witnesses(self, bound):
         """Element -> witness for the elements of degree <= bound, sorted."""

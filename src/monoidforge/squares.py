@@ -23,6 +23,7 @@ from .lattice import (
     Echelon,
     axpy,
     diagonal_of,
+    fast_zero,
     smith_normal_form,
 )
 from .monoid import CancellativeMonoid, PcMonoid, member, smash, units_submonoid
@@ -43,6 +44,7 @@ from .algebra import (
     MonomialQuotientAlgebra,
     MonomialSubsetAlgebra,
     PcAlgebra,
+    monoid_keys_by_weight,
 )
 
 
@@ -158,10 +160,25 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     then walked again as one whole truncation, which is the check of that
     truncation on its own, so the report names its witness.  A corner
     whose basis repeats an element, or a span corner A2 or B1 whose basis
-    is linearly dependent, raises ValueError.
+    is linearly dependent, raises ValueError, and so does a negative
+    degree bound.
+
+    Each monomial corner is asked for its keys up to the bound once, before
+    the walk.  Its monoid keeps that one key list with the level of each
+    key (algebra.monoid_keys_by_weight), so every truncation, of the
+    monomial corners and of the span corners built on the same algebras,
+    is read off it by level instead of searching the monoid again.  Fiber
+    elements are enumerated with the lift and its two wanted images kept as
+    running sums, which change by one relation's images per changed
+    coefficient; every lift is still mapped by top and left and compared
+    with both.
     """
+    _check_bound(degree_bound)
     R = square.ring
     walk = _CartesianWalk(square, elementwise_budget)
+    for T in walk.corners:
+        if T.corner.monomial:
+            T.corner.algebra.keys_upto(degree_bound)
     per_degree = []
     for d in range(degree_bound + 1):
         entry, failure = walk.step(d)
@@ -173,6 +190,11 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
             )
         per_degree.append(entry)
     return CartesianReport(True, degree_bound, R.kind, "exact", per_degree)
+
+
+def _check_bound(bound):
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
 
 
 def _kernel_vector(F, j, expr):
@@ -524,30 +546,54 @@ class _CartesianWalk:
         them the first time), each a combination of the fiber relations,
         lift it as the same combination of their lifts and re-check the lift
         through the maps; the A2 and B1 elements of the first that fails, or
-        None."""
+        None.
+
+        The coefficient vectors run in the order of product(R.elements()),
+        the new relations' coefficients fastest.  The lift and the A2 and B1
+        elements it must map to are running sums: when a coefficient changes
+        by delta, delta times that relation's lift and its A2 and B1 parts
+        are added, so a step costs about one relation, not all of them."""
         R, sq = self.R, self.square
-        A1 = self.corners[0]
+        A1, A2, B1 = self.corners
         n1, n2, n1p = (len(i) for i in ids)
-        rels, lifts = self.relations, self.lifts
-        old, f = self.enumerated, len(rels)
+        old, f = self.enumerated, len(self.relations)
         self.enumerated = f
+        if not n1:  # an empty A1 truncation has no lift to check
+            return None
         zero, elems = R.zero(), R.elements()
         if old is None:
             old, fresh = 0, list(product(elems, repeat=f))
         else:
             fresh = [c for c in product(elems, repeat=f - old)
                      if any(x != zero for x in c)]
-        top, left = sq.maps["top"], sq.maps["left"]
+        parts = []  # per relation: its lift, A2 part and B1 part
+        for rel, x in zip(self.relations, self.lifts):
+            a2, b1 = self._pair(rel, n2, n1p)
+            parts.append((A1.combine(x, n1).coeffs,
+                          {} if a2 is None else a2.coeffs, {} if b1 is None else b1.coeffs))
+        sums = ({}, {}, {})
+        digits = [zero] * f
+        # the wanted images hold the running sums themselves: they are read
+        # only by the comparisons, and returned as they stand on a failure
+        want_a2 = None if not n2 else AlgebraElement(A2.elems[0].algebra, sums[1])
+        want_b1 = None if not n1p else AlgebraElement(B1.elems[0].algebra, sums[2])
+        top, left, A1alg = sq.maps["top"], sq.maps["left"], A1.elems[0].algebra
+        fz = fast_zero(R)
+
+        def move(start, coeffs):
+            for j, c in enumerate(coeffs, start):
+                if c != digits[j]:
+                    delta = R.sub(c, digits[j])
+                    digits[j] = c
+                    for acc, vec in zip(sums, parts[j]):
+                        axpy(R, acc, delta, vec, fz)
+
         for head in product(elems, repeat=old):
+            move(0, head)
             for tail in fresh:
-                v, sol = {}, {}
-                for c, rel, x in zip(head + tail, rels, lifts):
-                    if c != zero:
-                        axpy(R, v, c, rel)
-                        axpy(R, sol, c, x)
-                lift = A1.combine(sol, n1)
-                want_a2, want_b1 = self._pair(v, n2, n1p)
-                if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
+                move(old, tail)
+                lift = AlgebraElement(A1alg, dict(sums[0]))
+                if top(lift) != want_a2 or left(lift) != want_b1:
                     return want_a2, want_b1
         return None
 
@@ -759,6 +805,7 @@ def build_face_filtration(M, k, R, kernel_bound=10):
     """Face-filtration square at level k: corners R[(piece at F_{k-1})_*],
     A_k = R[M/I_k], R, A_{k-1}, with the kernel of the connecting map
     certified to be the span of the face piece, degree by degree."""
+    _check_bound(kernel_bound)
     if units_submonoid(M):
         raise ValueError("face filtration requires a positive monoid")
     if not is_seminormal(M):
@@ -812,25 +859,36 @@ def build_face_filtration(M, k, R, kernel_bound=10):
     return square, certificate
 
 
+def _first_difference(a, b, bound):
+    """The least degree at which the truncations of two maps key -> weight
+    differ (truncation d holds the keys of weight <= d), or bound + 1."""
+    return min(
+        (min(w for w in (a.get(k), b.get(k)) if w is not None)
+         for k in a.keys() | b.keys() if a.get(k) != b.get(k)),
+        default=bound + 1,
+    )
+
+
+def _upto(weights, d):
+    """The keys of weight <= d of a map key -> weight."""
+    return {k for k, w in weights.items() if w <= d}
+
+
 def _kernel_certificate(square, piece, Ak, bound):
-    """ker(phi_k) per degree equals the monomial span of the face piece."""
-    R = square.ring
+    """ker(phi_k) per degree equals the monomial span of the face piece.
+    Each key up to the bound is mapped once; truncation d holds the keys of
+    weight <= d."""
     right = square.maps["right"]
-    out = []
-    for d in range(bound + 1):
-        piece_keys = {k for k in piece.keys_upto(d) if any(k)}
-        killed = set()
-        for key in Ak.keys_upto(d):
-            img = right(Ak.monomial(key))
-            if img.is_zero():
-                killed.add(key)
-        if killed != piece_keys:
-            raise AssertionError(
-                f"kernel monomials {sorted(killed)} differ from the face piece "
-                f"{sorted(piece_keys)} at degree {d}"
-            )
-        out.append({"degree": d, "kernel_monomials": len(killed)})
-    return out
+    piece_keys = {k: piece.weight(k) for k in piece.keys_upto(bound) if any(k)}
+    killed = {k: Ak.weight(k) for k in Ak.keys_upto(bound)
+              if right(Ak.monomial(k)).is_zero()}
+    bad = _first_difference(killed, piece_keys, bound)
+    if bad <= bound:
+        raise AssertionError(
+            f"kernel monomials {sorted(_upto(killed, bad))} differ from the face piece "
+            f"{sorted(_upto(piece_keys, bad))} at degree {bad}"
+        )
+    return [{"degree": d, "kernel_monomials": len(_upto(killed, d))} for d in range(bound + 1)]
 
 
 def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
@@ -890,27 +948,26 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
         description={"p": [list(g) for g in p_gens], "q": [list(g) for g in q_gens]},
     )
     # split witness: N' = N \ p is a submonoid; R[N']/R[S] -> R[N]/R[L] is an
-    # isomorphism and the section lands in R[N]/R[q]
+    # isomorphism and the section lands in R[N]/R[q]; each key up to the
+    # bound is read once, and truncation d holds the keys of weight <= d
     nprime_gens = [g for g in N.generators if not in_p(g)]
     Nprime = CancellativeMonoid(N.ambient, nprime_gens)
-    for d in range(degree_bound + 1):
-        lhs = {k for k in NL.keys_upto(d)}
-        rhs = {
-            k
-            for k in (Nprime.slice(d) if Nprime.grading() is not None else Nprime.filtered_elements(d))
-            if not in_q(k)
-        }
-        if lhs != rhs:
-            raise AssertionError(
-                f"N\\L and N'\\S disagree at degree {d}: {sorted(lhs ^ rhs)[:3]}"
-            )
+    nl_keys = NL.keys_upto(degree_bound)
+    lhs = {k: NL.weight(k) for k in nl_keys}
+    wp = _shared_weight(Nprime)
+    rhs = {k: wp(k) for k in monoid_keys_by_weight(Nprime, None, degree_bound) if not in_q(k)}
+    d = _first_difference(lhs, rhs, degree_bound)
+    if d <= degree_bound:
+        raise AssertionError(
+            f"N\\L and N'\\S disagree at degree {d}: "
+            f"{sorted(_upto(lhs, d) ^ _upto(rhs, d))[:3]}"
+        )
     section = make_key_map(NQ, lambda k: k)
     square.description["split_section"] = section
-    for d in range(degree_bound + 1):
-        for key in NL.keys_upto(d):
-            e = NL.monomial(key)
-            if square.maps["right"](section(e)) != e:
-                raise AssertionError(f"split section fails at {key}")
+    for key in sorted(nl_keys, key=lhs.__getitem__):  # by degree, then in order
+        e = NL.monomial(key)
+        if square.maps["right"](section(e)) != e:
+            raise AssertionError(f"split section fails at {key}")
     return square
 
 
@@ -1169,6 +1226,7 @@ def verify_reduced_iso(square, degree_bound=10):
     weight <= d."""
     if square.kind != "seminormal-step":
         raise ValueError("verify_reduced_iso applies to seminormal-step squares")
+    _check_bound(degree_bound)
     desc = square.description
     Malg = square.corner("A1").algebra
     Balg = square.corner("A2").algebra
@@ -1185,13 +1243,9 @@ def verify_reduced_iso(square, degree_bound=10):
              if not radA.ideal.member(k).is_yes}
     b_red = {k: BmodI.weight(k) for k in BmodI.keys_upto(degree_bound)
              if not radB.ideal.member(k).is_yes}
-    first_bad = min(
-        [a_red[k] for k in a_red.keys() - b_red.keys()]
-        + [b_red[k] for k in b_red.keys() - a_red.keys()],
-        default=degree_bound + 1,
-    )
+    first_bad = _first_difference(a_red, b_red, degree_bound)
     per_degree = [
-        {"degree": d, "reduced_classes": sum(1 for w in a_red.values() if w <= d)}
+        {"degree": d, "reduced_classes": len(_upto(a_red, d))}
         for d in range(min(first_bad, degree_bound + 1))
     ]
     if first_bad <= degree_bound:

@@ -1,8 +1,11 @@
 """verify_cartesian walks the truncations once; the per-truncation check it
 replaced is kept here verbatim as the oracle (verify_cartesian, _combine,
 _elementwise_fiber_check, _key_index, _as_column, _express_in_basis and
-_integer_lattice_check below, as they stood before the walk), and so is
-the per-degree verify_reduced_iso.
+_integer_lattice_check below, as they stood before the walk), and so are
+the per-degree verify_reduced_iso, the fiber enumeration that summed every
+combination of the fiber relations afresh (_new_fiber_elements) and the
+face-filtration kernel certificate that re-mapped every truncation
+(_kernel_certificate).
 
 Every canonical report must agree at bound 10: the six builders over F2,
 F3, F4, F5, Q, Z and Z/6 (a ValueError counts as an answer), their
@@ -16,22 +19,35 @@ whose image lattice has index 2), one with integral relations and an
 index-2 image, and two whose relations stop being integral at degree 1, so
 the walk switches from relation lifts to the saturation check.  A counting
 test pins that each fiber element is lifted and re-checked through the top
-map once over the whole walk.  A span corner whose basis repeats an element
-or is linearly dependent is refused with a ValueError.
+map once over the whole walk, and a spy on top that the running-sum
+enumeration passes top the same lifts in the same order as the old one.  A
+span corner whose basis repeats an element or is linearly dependent is
+refused with a ValueError, and so is a negative degree bound.  A
+fresh-process test pins the slice searches and box scans of one
+verification.
 """
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
-from monoidforge import squares
-from monoidforge.algebra import AlgebraElement, CancellativeAlgebra, MonomialQuotientAlgebra
+from monoidforge import algebra, squares
+from monoidforge.algebra import (
+    AlgebraElement,
+    CancellativeAlgebra,
+    MonomialQuotientAlgebra,
+    MonomialSubsetAlgebra,
+)
 from monoidforge.ideals import MonoidIdeal, radical
 from monoidforge.lattice import (
     AbelianGroupShape,
+    axpy,
     diagonal_of,
     field_eliminate,
     integer_kernel,
@@ -355,6 +371,60 @@ def verify_reduced_iso(square, degree_bound=10):
     )
 
 
+def _new_fiber_elements(self, ids):
+    """Enumerate the fiber elements that are new at this degree (all of
+    them the first time), each a combination of the fiber relations,
+    lift it as the same combination of their lifts and re-check the lift
+    through the maps; the A2 and B1 elements of the first that fails, or
+    None."""
+    R, sq = self.R, self.square
+    A1 = self.corners[0]
+    n1, n2, n1p = (len(i) for i in ids)
+    rels, lifts = self.relations, self.lifts
+    old, f = self.enumerated, len(rels)
+    self.enumerated = f
+    zero, elems = R.zero(), R.elements()
+    if old is None:
+        old, fresh = 0, list(product(elems, repeat=f))
+    else:
+        fresh = [c for c in product(elems, repeat=f - old)
+                 if any(x != zero for x in c)]
+    top, left = sq.maps["top"], sq.maps["left"]
+    for head in product(elems, repeat=old):
+        for tail in fresh:
+            v, sol = {}, {}
+            for c, rel, x in zip(head + tail, rels, lifts):
+                if c != zero:
+                    axpy(R, v, c, rel)
+                    axpy(R, sol, c, x)
+            lift = A1.combine(sol, n1)
+            want_a2, want_b1 = self._pair(v, n2, n1p)
+            if lift is not None and (top(lift) != want_a2 or left(lift) != want_b1):
+                return want_a2, want_b1
+    return None
+
+
+def _kernel_certificate(square, piece, Ak, bound):
+    """ker(phi_k) per degree equals the monomial span of the face piece."""
+    R = square.ring
+    right = square.maps["right"]
+    out = []
+    for d in range(bound + 1):
+        piece_keys = {k for k in piece.keys_upto(d) if any(k)}
+        killed = set()
+        for key in Ak.keys_upto(d):
+            img = right(Ak.monomial(key))
+            if img.is_zero():
+                killed.add(key)
+        if killed != piece_keys:
+            raise AssertionError(
+                f"kernel monomials {sorted(killed)} differ from the face piece "
+                f"{sorted(piece_keys)} at degree {d}"
+            )
+        out.append({"degree": d, "kernel_monomials": len(killed)})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # squares
 
@@ -656,3 +726,185 @@ def test_oracle_integer_coordinates_of_single_monomials():
     assert _express_in_basis([three_x], [two_x, binomial], ZZ)[0] is None
     Z6 = IntegerModRing(6)
     assert _express_in_basis([el({x: 4})], [el({x: 2})], Z6)[0] is None
+
+
+def top_calls(square, **kw):
+    """The canonical report of the walk and the lifts it passes to top, in
+    order, as coefficient maps."""
+    spied = copy.copy(square)
+    spied.maps = dict(square.maps)
+    top, seen = square.maps["top"], []
+
+    def spy(e):
+        seen.append(dict(e.coeffs))
+        return top(e)
+
+    spied.maps["top"] = spy
+    rep = squares.verify_cartesian(spied, degree_bound=BOUND, **kw).to_json()
+    return json.dumps(rep, sort_keys=True, separators=(",", ":")), seen
+
+
+def wrong_on_squares(R):
+    """Squares whose top leg is wrong on one fiber element that is not a
+    basis element of A1."""
+    semi = build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), R)
+    A = semi.corner("A1").algebra
+    pc = build_pc(M(Z2, [(1, 0), (0, 1)]), [(1, 1)], R)
+    I = pc.corner("A1").algebra
+    return [
+        ("seminormal-step", wrong_on(semi, A.elem([((0,), 1), ((2,), 1)]))),
+        ("seminormal-step late", wrong_on(semi, A.elem([((2,), 1), ((3,), 1), ((5,), 1)]))),
+        ("pc", wrong_on(pc, I.elem([((0, 0), 1), ((1, 1), 1)]))),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_incremental_enumeration_passes_the_same_lifts_to_top(q, monkeypatch):
+    """The walk's running-sum enumeration hands top the same lifts in the
+    same order as the enumeration that summed every combination afresh, and
+    a wrong square fails with the same witness."""
+    wrong = wrong_on_squares(GF(q))
+    cases = six_squares(GF(q)) + wrong
+    got = [top_calls(sq, elementwise_budget=4096) for _, sq in cases]
+    monkeypatch.setattr(squares._CartesianWalk, "_new_fiber_elements", _new_fiber_elements)
+    want = [top_calls(sq, elementwise_budget=4096) for _, sq in cases]
+    for (kind, _), g, w in zip(cases, got, want):
+        assert g[0] == w[0], kind
+        assert g[1] == w[1], kind
+    for (kind, _), (report, _) in zip(wrong, got[-len(wrong):]):
+        assert json.loads(report)["method"] == "elementwise", kind
+
+
+def test_negative_degree_bound_is_refused(monkeypatch):
+    """A negative bound has no truncation to check: it is refused before any
+    key list is asked for, not answered with an empty "yes"."""
+    sq = build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), GF(2))
+    calls = []
+    keys = algebra.monoid_keys_by_weight
+    monkeypatch.setattr(
+        algebra, "monoid_keys_by_weight", lambda M, w, b: calls.append(b) or keys(M, w, b)
+    )
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+        squares.verify_cartesian(sq, degree_bound=-1)
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+        squares.verify_reduced_iso(sq, degree_bound=-1)
+    with pytest.raises(ValueError, match="degree bound must be >= 0, got -2"):
+        build_face_filtration(M(Z2, [(1, 0), (0, 1)]), 2, GF(2), kernel_bound=-2)
+    assert calls == []
+    assert squares.verify_cartesian(sq, degree_bound=0).ok
+    assert squares.verify_reduced_iso(sq, degree_bound=0).ok
+
+
+FACE_CASES = [
+    (Z2, [(1, 0), (0, 1)], 1),
+    (Z2, [(1, 0), (0, 1)], 2),
+    (Z2, [(1, 0), (0, 1)], 3),
+    (Z2, [(2, 0), (1, 1), (0, 2)], 2),
+    (AbelianGroupShape(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+]
+
+
+def assertion_text(fn, *args):
+    with pytest.raises(AssertionError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("amb, gens, k", FACE_CASES)
+def test_kernel_certificate_matches_oracle(amb, gens, k):
+    """The face-filtration certificate maps each key once and reads every
+    degree off the weights: the same per-degree entries as the certificate
+    that re-mapped every truncation, and on a wrong leg or a wrong piece
+    the same first degree and monomials in its AssertionError."""
+    sq, cert = build_face_filtration(M(amb, gens), k, GF(2), kernel_bound=BOUND)
+    piece, Ak = sq.corner("A1").algebra, sq.corner("A2").algebra
+    assert cert == _kernel_certificate(sq, piece, Ak, BOUND)
+    # each control differs from the piece at two keys, the last one of the
+    # highest degree: the error names the lower degree
+    extra = [key for key in Ak.keys_upto(BOUND) if any(key) and key not in piece.keys_upto(BOUND)]
+    for key in extra[:: max(1, len(extra) // 3)]:
+        bad = copy.copy(sq)
+        bad.maps = dict(sq.maps)
+        right, killed = sq.maps["right"], {key, extra[-1]}
+        bad.maps["right"] = lambda e, right=right, killed=killed: (
+            e.algebra.zero() if killed & e.coeffs.keys() else right(e)
+        )
+        assert assertion_text(squares._kernel_certificate, bad, piece, Ak, BOUND) == (
+            assertion_text(_kernel_certificate, bad, piece, Ak, BOUND)
+        )
+    pieces = [key for key in piece.keys_upto(BOUND) if any(key)]
+    for key in pieces[:: max(1, len(pieces) // 3)]:
+        thin = MonomialSubsetAlgebra(piece, lambda x, gone={key, pieces[-1]}: x not in gone, "thin")
+        assert assertion_text(squares._kernel_certificate, sq, thin, Ak, BOUND) == (
+            assertion_text(_kernel_certificate, sq, thin, Ak, BOUND)
+        )
+
+
+VERIFY_SEARCH_COUNT = """
+import json
+import sys
+
+from monoidforge import monoid, squares
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid as M
+from monoidforge.rings import GF
+
+Z1, Z2 = AbelianGroupShape(1), AbelianGroupShape(2)
+which = sys.argv[1]
+if which == "seminormal-step":
+    sq, bound = squares.build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), GF(2)), 10
+elif which == "torsion-splitting-1":
+    sq, bound = squares.build_torsion_splitting(M(Z1, [(1,)]), [2], GF(2))[0], 10
+elif which == "face-filtration":
+    sq, bound = squares.build_face_filtration(M(Z2, [(1, 0), (0, 1)]), 2, GF(2))[0], 10
+else:
+    sq, bound = squares.build_positive_split(M(Z2, [(1, 0), (-1, 0), (0, 1)]), GF(3)), 6
+counts = {"searches": 0, "scans": 0}
+search = monoid._graded_search
+scan = M.filtered_elements
+
+
+def counted_search(*args):
+    counts["searches"] += 1
+    return search(*args)
+
+
+def counted_scan(self, bound):
+    counts["scans"] += 1
+    return scan(self, bound)
+
+
+monoid._graded_search = counted_search
+M.filtered_elements = counted_scan
+ok = squares.verify_cartesian(sq, degree_bound=bound).ok
+print(json.dumps({"ok": ok, **counts}))
+"""
+
+
+@pytest.mark.parametrize("kind, searches, scans", [
+    ("seminormal-step", 2, 0),
+    ("torsion-splitting-1", 2, 0),
+    ("face-filtration", 1, 0),
+    ("positive-split", 7, 1),
+])
+def test_slice_searches_of_one_verification_in_a_fresh_process(kind, searches, scans):
+    """One verify_cartesian after the build, in a fresh process: each
+    monoid and weight of the monomial corners is searched (or box-scanned)
+    once, at the bound, and every truncation reads that list.  The
+    seminormal step searches <2,3> and <1,2,3> (at degree 10 each instead of
+    at every degree: 18 searches before), the first torsion-splitting square
+    its two monomial corners (20 before, the span corner reads the B1 list),
+    the face filtration only the trivial monoid of R (its two monoid corners
+    read the list its kernel certificate built: 11 before), and the positive
+    split of <(1,0),(-1,0),(0,1)> scans its box once (14 before); its seven
+    searches are the slices of M/U(M) that membership reads."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(squares.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_SEARCH_COUNT, kind],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"ok": True, "searches": searches, "scans": scans}

@@ -130,6 +130,24 @@ def test_square_command(tmp_path):
     assert out["results"]["reduced_iso"]["isomorphism"] is True
 
 
+def test_square_negative_degree_bound_is_a_usage_error(tmp_path):
+    """A negative bound checks no truncation: it exits 2 instead of
+    reporting a vacuous Cartesian square or isomorphism."""
+    base = ["square", "build", "seminormal-step", "cusp.json", "--element", "1", "--ring", "F2"]
+    for extra in (["--verify"], ["--reduced-iso"]):
+        proc = run_cli(base + extra + ["--degree-bound", "-1"], {"cusp.json": CUSP}, tmp_path)
+        assert proc.returncode == 2, (extra, proc.stdout)
+        assert "degree bound must be >= 0, got -1" in proc.stderr
+        assert proc.stdout == ""
+    proc = run_cli(
+        ["square", "build", "face-filtration", "z2.json", "--k", "2", "--ring", "F2",
+         "--degree-bound", "-1"],
+        {"z2.json": Z2P},
+        tmp_path,
+    )
+    assert proc.returncode == 2 and "degree bound must be >= 0" in proc.stderr
+
+
 def test_square_torsion_pair(tmp_path):
     zp = {"ambient": {"rank": 1, "torsion": []}, "generators": [[1]]}
     proc = run_cli(
