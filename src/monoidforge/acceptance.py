@@ -8,11 +8,10 @@ instance.
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from .rings import GF
-from .lattice import AbelianGroupShape, nonneg_rational_feasible, rank_of
+from .lattice import AbelianGroupShape, Record, nonneg_rational_feasible, rank_of
 from .monoid import CancellativeMonoid, is_positive, is_torsion_free, member, smash
 from .cones import face_lattice, interior_member
 from .closure import (
@@ -41,13 +40,15 @@ Z2 = AbelianGroupShape(2)
 Z3 = AbelianGroupShape(3)
 
 
-@dataclass
-class CriterionResult:
-    ident: int
-    description: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(Record):
+    _fields = ("ident", "description", "passed", "detail", "elapsed")
+
+    def __init__(self, ident, description, passed, detail, elapsed):
+        self.ident = ident
+        self.description = description
+        self.passed = passed
+        self.detail = detail
+        self.elapsed = elapsed
 
     def line(self):
         mark = "PASS" if self.passed else "FAIL"

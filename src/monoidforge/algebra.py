@@ -13,9 +13,7 @@ Elements never store zero coefficients; all verification is on bounded
 truncations with the bound reported.
 """
 
-from dataclasses import dataclass
-
-from .lattice import field_eliminate
+from .lattice import Record, field_eliminate
 from .monoid import PcMonoid, member, units_submonoid
 from .monoid import is_torsion_free as monoid_is_torsion_free
 
@@ -422,12 +420,14 @@ def truncate(u, d):
 # structural verdicts
 
 
-@dataclass
-class Verdict:
-    value: str  # "yes" | "no" | "unknown"
-    basis: str  # "criterion: ..." or "empirical: ..."
-    witness: object = None
-    search_bounds: dict = None
+class Verdict(Record):
+    _fields = ("value", "basis", "witness", "search_bounds")
+
+    def __init__(self, value, basis, witness=None, search_bounds=None):
+        self.value = value  # "yes" | "no" | "unknown"
+        self.basis = basis  # "criterion: ..." or "empirical: ..."
+        self.witness = witness
+        self.search_bounds = search_bounds
 
     @property
     def is_yes(self):
@@ -606,11 +606,13 @@ def _zero_divisor_search(ring, host, support_cap, degree_cap):
 # unit groups of reduced monoid algebras over fields
 
 
-@dataclass
-class UnitsDescription:
-    field_kind: str
-    unit_monoid_generators: list  # generators of U(M)
-    note: str
+class UnitsDescription(Record):
+    _fields = ("field_kind", "unit_monoid_generators", "note")
+
+    def __init__(self, field_kind, unit_monoid_generators, note):
+        self.field_kind = field_kind
+        self.unit_monoid_generators = unit_monoid_generators  # generators of U(M)
+        self.note = note
 
     def to_json(self):
         return {

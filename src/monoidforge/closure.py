@@ -7,12 +7,12 @@ n*a in M per added generator; for sn(M), verified memberships of 2a and 3a
 at the adjunction stage.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (
     AbelianGroupShape,
     Echelon,
+    Record,
     facet_normals,
     integer_kernel,
     rank_of,
@@ -25,12 +25,14 @@ from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
 from .cones import bar_face_submonoid, face_lattice, interior_member
 
 
-@dataclass
-class ClosureResult:
-    monoid: CancellativeMonoid
-    added: list
-    certificates: dict
-    kind: str
+class ClosureResult(Record):
+    _fields = ("monoid", "added", "certificates", "kind")
+
+    def __init__(self, monoid, added, certificates, kind):
+        self.monoid = monoid
+        self.added = added
+        self.certificates = certificates
+        self.kind = kind
 
     @property
     def added_nothing(self):
@@ -373,14 +375,16 @@ def find_subintegral_element(M):
 # Gubeladze face structure of sn(M) for torsion monoids
 
 
-@dataclass
-class SnFaceStructure:
-    monoid: CancellativeMonoid
-    sn: CancellativeMonoid
-    faces: list
-    subgroups: dict  # face index -> sorted list of torsion elements
-    slice_bound: int
-    report: dict = field(default_factory=dict)
+class SnFaceStructure(Record):
+    _fields = ("monoid", "sn", "faces", "subgroups", "slice_bound", "report")
+
+    def __init__(self, monoid, sn, faces, subgroups, slice_bound, report=None):
+        self.monoid = monoid
+        self.sn = sn
+        self.faces = faces
+        self.subgroups = subgroups  # face index -> sorted list of torsion elements
+        self.slice_bound = slice_bound
+        self.report = {} if report is None else report
 
     def to_json(self):
         return {

@@ -18,13 +18,12 @@ collapses Pic to a finite unit-coset computation; projective-curve factors
 corners.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
 from .rings import GF, factorize
 from .algebra import field_solve
-from .lattice import diagonal_of, mat_mul, smith_normal_form, solve_smith
+from .lattice import Record, diagonal_of, mat_mul, smith_normal_form, solve_smith
 
 
 class NumericalSemigroup:
@@ -183,12 +182,14 @@ class FiniteRingData:
         return v if self.mul(u, v) == self.one() else None
 
 
-@dataclass
-class AbelianGroupData:
-    order: int
-    invariants: tuple  # divisor chain d1 | d2 | ...
-    generators: list  # witness generating set with element orders
-    note: str = ""
+class AbelianGroupData(Record):
+    _fields = ("order", "invariants", "generators", "note")
+
+    def __init__(self, order, invariants, generators, note=""):
+        self.order = order
+        self.invariants = invariants  # divisor chain d1 | d2 | ...
+        self.generators = generators  # witness generating set with element orders
+        self.note = note
 
     def to_json(self):
         return {
@@ -451,13 +452,15 @@ def unit_group(ring_data):
     )
 
 
-@dataclass
-class ConductorData:
-    semigroup: NumericalSemigroup
-    q: int
-    conductor_exponent: int
-    a_mod: FiniteRingData  # A / t^c
-    b_mod: FiniteRingData  # B / t^c
+class ConductorData(Record):
+    _fields = ("semigroup", "q", "conductor_exponent", "a_mod", "b_mod")
+
+    def __init__(self, semigroup, q, conductor_exponent, a_mod, b_mod):
+        self.semigroup = semigroup
+        self.q = q
+        self.conductor_exponent = conductor_exponent
+        self.a_mod = a_mod  # A / t^c
+        self.b_mod = b_mod  # B / t^c
 
     def to_json(self):
         return {
@@ -486,14 +489,16 @@ def conductor_data(S, q):
     )
 
 
-@dataclass
-class PicardResult:
-    semigroup: NumericalSemigroup
-    q: int
-    order: int
-    invariants: tuple
-    reasons: dict
-    witness: AbelianGroupData = None
+class PicardResult(Record):
+    _fields = ("semigroup", "q", "order", "invariants", "reasons", "witness")
+
+    def __init__(self, semigroup, q, order, invariants, reasons, witness=None):
+        self.semigroup = semigroup
+        self.q = q
+        self.order = order
+        self.invariants = invariants
+        self.reasons = reasons
+        self.witness = witness  # AbelianGroupData
 
     def to_json(self):
         return {
@@ -553,13 +558,15 @@ def picard_by_patching(S, q):
     return PicardResult(S, q, order, witness.invariants, reasons, witness)
 
 
-@dataclass
-class SK0Certificate:
-    semigroup: NumericalSemigroup
-    q: int
-    slots: list  # six (name, value, reason-tag, detail)
-    verdict: str
-    exactness_note: str
+class SK0Certificate(Record):
+    _fields = ("semigroup", "q", "slots", "verdict", "exactness_note")
+
+    def __init__(self, semigroup, q, slots, verdict, exactness_note):
+        self.semigroup = semigroup
+        self.q = q
+        self.slots = slots  # six (name, value, reason-tag, detail)
+        self.verdict = verdict
+        self.exactness_note = exactness_note
 
     def to_json(self):
         return {

@@ -5,8 +5,7 @@ Every derived ideal is certified on an explicit bounded slice; certification
 failures raise, naming the offending element, rather than returning silently.
 """
 
-from dataclasses import dataclass, field
-
+from .lattice import Record
 from .monoid import (
     Membership,
     PcMonoid,
@@ -209,12 +208,14 @@ def _face_index_at_least(host, k):
     return _mask_predicate(host, lambda v: cone.face_of(v).index >= k)
 
 
-@dataclass
-class RadicalResult:
-    ideal: MonoidIdeal
-    method: str  # "faces" | "slice"
-    bound: int
-    power_certificates: dict
+class RadicalResult(Record):
+    _fields = ("ideal", "method", "bound", "power_certificates")
+
+    def __init__(self, ideal, method, bound, power_certificates):
+        self.ideal = ideal
+        self.method = method  # "faces" | "slice"
+        self.bound = bound
+        self.power_certificates = power_certificates
 
     def to_json(self):
         return {
@@ -287,12 +288,16 @@ def is_radical(I, degree_bound=12):
     return radical(I, degree_bound).ideal.same_as(I)
 
 
-@dataclass
-class PrimeDecomposition:
-    ideal: MonoidIdeal
-    primes: list  # of (MonoidIdeal, complement CancellativeMonoid, Face)
-    degree_bound: int
-    irredundancy_witnesses: dict = field(default_factory=dict)
+class PrimeDecomposition(Record):
+    _fields = ("ideal", "primes", "degree_bound", "irredundancy_witnesses")
+
+    def __init__(self, ideal, primes, degree_bound, irredundancy_witnesses=None):
+        self.ideal = ideal
+        self.primes = primes  # of (MonoidIdeal, complement CancellativeMonoid, Face)
+        self.degree_bound = degree_bound
+        self.irredundancy_witnesses = (
+            {} if irredundancy_witnesses is None else irredundancy_witnesses
+        )
 
     def to_json(self):
         return {
@@ -357,15 +362,17 @@ def prime_decomposition(I, degree_bound=12):
     return PrimeDecomposition(inner, primes, degree_bound, witnesses)
 
 
-@dataclass
-class FiltrationIdeal:
+class FiltrationIdeal(Record):
     """I_k: elements whose face index is at least k, with certified
     generators; membership is decided by face location."""
 
-    host: object
-    k: int
-    ideal: MonoidIdeal
-    degree_bound: int
+    _fields = ("host", "k", "ideal", "degree_bound")
+
+    def __init__(self, host, k, ideal, degree_bound):
+        self.host = host
+        self.k = k
+        self.ideal = ideal
+        self.degree_bound = degree_bound
 
     def member(self, x):
         if not member(self.host, x).is_yes:

@@ -12,7 +12,6 @@ Fraction; Echelon computes with the elements and operations of a
 rings.Ring field.  Matrices are plain lists of lists.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as _add, mod as _mod, mul as _mul, neg as _neg, sub as _sub
@@ -266,23 +265,62 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
-@dataclass(frozen=True)
-class AbelianGroupShape:
+class Record:
+    """Base of the plain result records.
+
+    A record lists its fields in _fields, in the order of its __init__;
+    repr prints Name(field=value, ...), and two records are equal when they
+    are of the same class with equal fields.  Records are mutable, so they
+    are unhashable.
+    """
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class AbelianGroupShape(Record):
     """Z^free_rank x prod Z/d_i, each d_i >= 2.
 
     Canonical shapes (outputs of subgroup_shape) carry a divisibility chain
-    d_1 | d_2 | ...; ambient coordinate frames may use any moduli.
+    d_1 | d_2 | ...; ambient coordinate frames may use any moduli.  A shape
+    is an interning key: it is immutable, and eq and hash are those of
+    (free_rank, torsion).
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if any(d < 2 for d in self.torsion):
+    def __init__(self, free_rank, torsion=()):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion invariants must be >= 2")
-        # not fields: eq, hash and repr (the interning keys) stay those of
-        # (free_rank, torsion)
-        object.__setattr__(self, "_dim", self.free_rank + len(self.torsion))
+        setattr_ = object.__setattr__
+        setattr_(self, "free_rank", free_rank)
+        setattr_(self, "torsion", torsion)
+        setattr_(self, "_dim", free_rank + len(torsion))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     def is_canonical_chain(self):
         return all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:]))
@@ -587,13 +625,15 @@ def nonneg_rational_feasible(generators, target, max_constraints=4000):
 # non-negative integer feasibility
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """Outcome of a non-negative integer feasibility search."""
 
-    status: str  # "witness" | "no"
-    coeffs: tuple = None
-    note: str = ""
+    _fields = ("status", "coeffs", "note")
+
+    def __init__(self, status, coeffs=None, note=""):
+        self.status = status  # "witness" | "no"
+        self.coeffs = coeffs
+        self.note = note
 
     @property
     def is_witness(self):

@@ -11,7 +11,6 @@ G/U: a lies in M exactly when its image lies in M/U, and a witness found
 there is lifted back to M through the unit generators (UnitQuotient).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -19,6 +18,7 @@ from operator import mul
 
 from .lattice import (
     AbelianGroupShape,
+    Record,
     _dot,
     clear_denominators,
     diagonal_of,
@@ -38,11 +38,13 @@ class InconclusiveError(Exception):
     """Kept for compatibility: membership is exact and nothing raises this."""
 
 
-@dataclass
-class Membership:
-    status: str  # "yes" | "no"
-    witness: tuple = None
-    note: str = ""
+class Membership(Record):
+    _fields = ("status", "witness", "note")
+
+    def __init__(self, status, witness=None, note=""):
+        self.status = status  # "yes" | "no"
+        self.witness = witness
+        self.note = note
 
     @property
     def is_yes(self):

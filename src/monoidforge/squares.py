@@ -15,12 +15,12 @@ truncation to name its witness.
 """
 
 import copy
-from dataclasses import dataclass, field
 from itertools import product
 
 from .lattice import (
     AbelianGroupShape,
     Echelon,
+    Record,
     axpy,
     diagonal_of,
     fast_zero,
@@ -71,28 +71,32 @@ class Corner:
         return self.ambient.ring
 
 
-@dataclass
-class MilnorSquare:
-    kind: str
-    corners: dict  # "A1","A2","B1","B2" -> Corner
-    maps: dict  # "top","left","right","bottom" -> callable Element -> Element
-    surjective_legs: tuple  # subset of ("right", "bottom")
-    ring: object
-    description: dict = field(default_factory=dict)
+class MilnorSquare(Record):
+    _fields = ("kind", "corners", "maps", "surjective_legs", "ring", "description")
+
+    def __init__(self, kind, corners, maps, surjective_legs, ring, description=None):
+        self.kind = kind
+        self.corners = corners  # "A1","A2","B1","B2" -> Corner
+        self.maps = maps  # "top","left","right","bottom" -> callable Element -> Element
+        self.surjective_legs = surjective_legs  # subset of ("right", "bottom")
+        self.ring = ring
+        self.description = {} if description is None else description
 
     def corner(self, name):
         return self.corners[name]
 
 
-@dataclass
-class CartesianReport:
-    ok: bool
-    degree_bound: int
-    ring_kind: str
-    method: str
-    per_degree: list
-    witness: object = None
-    note: str = ""
+class CartesianReport(Record):
+    _fields = ("ok", "degree_bound", "ring_kind", "method", "per_degree", "witness", "note")
+
+    def __init__(self, ok, degree_bound, ring_kind, method, per_degree, witness=None, note=""):
+        self.ok = ok
+        self.degree_bound = degree_bound
+        self.ring_kind = ring_kind
+        self.method = method
+        self.per_degree = per_degree
+        self.witness = witness
+        self.note = note
 
     def to_json(self):
         return {
@@ -995,6 +999,32 @@ def torsion_group_monoid(n_list):
     return CancellativeMonoid(amb, gens)
 
 
+def _torsion_weights(S_prev, p, prev):
+    """The weights (w_a2, w_b1) of the torsion-splitting corners over S_prev.
+
+    monoid_keys_by_weight keeps one key list per weight function, and key
+    lists do not depend on the ring, so every build over the same S_prev
+    gets the same two functions, kept in S_prev's cache: a rebuild, over
+    any ring, reuses the lists of the first build.
+    """
+    cache = S_prev._cache.setdefault("torsion_weights", {})
+    if (p, prev) in cache:
+        return cache[p, prev]
+    wS = S_prev.degree if S_prev.generators else (lambda k: 0)
+
+    def w_b1(key):
+        l_part = key[:p]
+        t_part = key[p]
+        g_part = key[p + 1 :]
+        return t_part + (wS(tuple(l_part) + tuple(g_part)) if S_prev.generators else 0)
+
+    def w_a2(key):
+        return wS(tuple(key[:p]) + tuple(key[p : p + len(prev)])) if S_prev.generators else 0
+
+    cache[p, prev] = w_a2, w_b1
+    return w_a2, w_b1
+
+
 def build_torsion_splitting(L, n_list, R):
     """Gubeladze's pair of torsion-splitting squares.
 
@@ -1036,17 +1066,7 @@ def build_torsion_splitting(L, n_list, R):
     b2_gens.append(tuple([0] * p) + (0,) * len(prev) + (1,))
     B2mon = CancellativeMonoid(amb_b2, b2_gens)
 
-    wS = S_prev.degree if S_prev.generators else (lambda k: 0)
-
-    def w_b1(key):
-        l_part = key[:p]
-        t_part = key[p]
-        g_part = key[p + 1 :]
-        return t_part + (wS(tuple(l_part) + tuple(g_part)) if S_prev.generators else 0)
-
-    def w_a2(key):
-        return wS(tuple(key[:p]) + tuple(key[p : p + len(prev)])) if S_prev.generators else 0
-
+    w_a2, w_b1 = _torsion_weights(S_prev, p, prev)
     A2alg = CancellativeAlgebra(A2mon, R, weight_fn=w_a2)
     B1alg = CancellativeAlgebra(B1mon, R, weight_fn=w_b1)
     B2alg = CancellativeAlgebra(B2mon, R, weight_fn=w_a2)
@@ -1201,13 +1221,15 @@ def corrupt_square(square):
 # reduced-quotient isomorphism for seminormal-step squares
 
 
-@dataclass
-class ReducedIsoReport:
-    ok: bool
-    degree_bound: int
-    per_degree: list
-    nil_generators_a: list
-    nil_generators_b: list
+class ReducedIsoReport(Record):
+    _fields = ("ok", "degree_bound", "per_degree", "nil_generators_a", "nil_generators_b")
+
+    def __init__(self, ok, degree_bound, per_degree, nil_generators_a, nil_generators_b):
+        self.ok = ok
+        self.degree_bound = degree_bound
+        self.per_degree = per_degree
+        self.nil_generators_a = nil_generators_a
+        self.nil_generators_b = nil_generators_b
 
     def to_json(self):
         return {

@@ -209,3 +209,30 @@ def test_text_format(tmp_path):
     assert proc.returncode == 0
     assert "elapsed" in proc.stdout
     assert "cancellative" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_and_every_module():
+    """A cold CLI process pays for what importing monoidforge.cli loads:
+    dataclasses (with inspect, dis, ast and tokenize behind it) stays out,
+    and every monoidforge module is loaded up front, so tracing sees them
+    all.  Run without site so nothing but the import loads modules."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import monoidforge.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert {m for m in loaded if m.startswith("monoidforge")} == {
+        "monoidforge",
+        *(
+            f"monoidforge.{m}"
+            for m in (
+                "acceptance", "algebra", "cli", "closure", "conductor", "cones",
+                "ideals", "lattice", "monoid", "rings", "squares",
+            )
+        ),
+    }

@@ -12,7 +12,11 @@ comes after keys_upto(B) in ascending, descending or shuffled order, or
 grows past the cached bound.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from monoidforge.algebra import (
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid, PcMonoid
 from monoidforge.rings import GF
+from monoidforge.squares import build_torsion_splitting, verify_cartesian
 
 B = 6
 F2 = GF(2)
@@ -216,4 +221,42 @@ def test_key_lists_match_oracle_on_random_monoids(case, calls):
     alg = fresh(cancellative, case)
     for d in calls:
         assert alg.keys_upto(d) == want[d], (case, d)
+    reset_caches()
+
+
+TORSION_SPLITTING = """
+import json, sys
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid
+from monoidforge.rings import GF
+from monoidforge.squares import build_torsion_splitting, verify_cartesian
+L = CancellativeMonoid(AbelianGroupShape(1), [(1,)])
+squares = build_torsion_splitting(L, [2], GF(int(sys.argv[1])))
+print(json.dumps([verify_cartesian(sq, 10).to_json() for sq in squares], sort_keys=True))
+"""
+
+
+def test_torsion_splitting_rebuilds_keep_one_key_list_per_monoid():
+    """Key lists do not depend on the ring, and the torsion-splitting
+    weights are the same functions on every build over the same S, so
+    rebuilding the pair over F2 and F3 leaves one list on each corner
+    monoid; the certificate is the one a fresh process gives."""
+    reset_caches()
+    L = CancellativeMonoid(Z1, [(1,)])
+    for q in (2, 3, 2, 3):
+        squares = build_torsion_splitting(L, [2], GF(q))
+        got = json.dumps([verify_cartesian(sq, 10).to_json() for sq in squares], sort_keys=True)
+    counts = {
+        name: len(squares[0].corner(name).algebra.M._cache.get("key_lists", {}))
+        for name in ("A2", "B1", "B2")
+    }
+    assert counts["A2"] == counts["B1"] == 1 and counts["B2"] <= 1, counts
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh_run = subprocess.run(
+        [sys.executable, "-c", TORSION_SPLITTING, "3"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert fresh_run.returncode == 0, fresh_run.stderr
+    assert got == fresh_run.stdout.strip()
     reset_caches()
