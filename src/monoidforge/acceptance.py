@@ -119,21 +119,42 @@ def criterion_2():
 
 
 def _exhaustive_facet_oracle(gens, dim):
+    """The primitive vectors n of the box |n_i| <= (dim-1)! m^(dim-1)
+    (m the largest generator entry) with n . g >= 0 on every generator and
+    = 0 on a set of generators of rank dim - 1: the inward facet normals.
+
+    Each prefix of dim - 1 coordinates fixes the part of every generator
+    value it contributes, and the last coordinate runs only over the
+    interval where every value is >= 0.  The rank of each tight generator
+    set is computed once."""
     import math
 
     from .lattice import primitive
 
     m = max(abs(x) for v in gens for x in v)
     box = math.factorial(max(dim - 1, 1)) * m ** max(dim - 1, 1)
+    last = [v[-1] for v in gens]
+    ranks = {}
     out = set()
-    for cand in product(range(-box, box + 1), repeat=dim):
-        if not any(cand):
-            continue
-        vals = [sum(a * b for a, b in zip(cand, v)) for v in gens]
-        if all(x >= 0 for x in vals) and any(x == 0 for x in vals):
-            on = [list(v) for v, x in zip(gens, vals) if x == 0]
-            if on and rank_of(on) == dim - 1:
-                out.add(primitive(cand))
+    for prefix in product(range(-box, box + 1), repeat=dim - 1):
+        parts = [sum(a * b for a, b in zip(prefix, v)) for v in gens]
+        lo, hi = -box, box
+        for p, c in zip(parts, last):  # p + c * t >= 0
+            if c > 0:
+                lo = max(lo, -(p // c))
+            elif c < 0:
+                hi = min(hi, p // -c)
+            elif p < 0:
+                hi = lo - 1
+        for t in range(lo, hi + 1):
+            tight = tuple(j for j, (p, c) in enumerate(zip(parts, last)) if p + c * t == 0)
+            if not tight or (not t and not any(prefix)):
+                continue
+            r = ranks.get(tight)
+            if r is None:
+                r = ranks[tight] = rank_of([list(gens[j]) for j in tight])
+            if r == dim - 1:
+                out.add(primitive(prefix + (t,)))
     return out
 
 

@@ -66,6 +66,11 @@ class MonoidAlgebraBase:
     def monomial(self, key, coeff=1):
         if not self.contains_key(key):
             raise ValueError(f"{key} is not a monomial key of {self.name}")
+        return self._listed_monomial(key, coeff)
+
+    def _listed_monomial(self, key, coeff=1):
+        """monomial without the membership check, for a key that keys_upto
+        of this algebra has listed."""
         return self.elem([(key, coeff)])
 
     def __repr__(self):

@@ -7,22 +7,23 @@ n*a in M per added generator; for sn(M), verified memberships of 2a and 3a
 at the adjunction stage.
 """
 
-from fractions import Fraction
+from itertools import product
+from operator import ge
 
 from .lattice import (
     AbelianGroupShape,
-    Echelon,
     Record,
+    _dot,
     facet_normals,
     integer_kernel,
+    primitive,
     rank_of,
     smith_normal_form,
     solve_smith,
     unimodular_inverse,
 )
-from .rings import QQ
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
-from .cones import bar_face_submonoid, face_lattice, interior_member
+from .cones import _bits, bar_face_submonoid, face_lattice, interior_member
 
 
 class ClosureResult(Record):
@@ -51,12 +52,13 @@ class ClosureResult(Record):
 
 def hilbert_basis(gens, dim):
     """Hilbert basis of the pointed full-dimensional cone spanned by gens in
-    Z^dim: the unique minimal generating set of cone cap Z^dim.
+    Z^dim: the unique minimal generating set of cone cap Z^dim, sorted.
 
-    Candidates are all cone lattice points of grading degree <= B, where
-    B bounds any irreducible element via Caratheodory (an irreducible is a
-    sub-unit combination of an independent generator subset); minimalization
-    is by exact decomposition testing.
+    The primal algorithm of Normaliz (Bruns-Ichim 2010): a pulling
+    triangulation of the cone on its extreme rays, the lattice points of
+    the fundamental parallelepiped of each simplicial cone as candidates
+    together with the extreme rays, and a reduction of the candidates in
+    degree order.  A cone that is not pointed raises ValueError.
     """
     gens = sorted({tuple(g) for g in gens if any(g)})
     if dim == 0 or not gens:
@@ -66,85 +68,138 @@ def hilbert_basis(gens, dim):
 
 def _hilbert_basis(gens, dim, normals):
     """hilbert_basis of the sorted distinct nonzero gens, given the facet
-    normals of their cone."""
-    if rank_of([list(n) for n in normals]) != dim:
-        raise ValueError("hilbert_basis requires a pointed cone")
-    w = tuple(sum(n[j] for n in normals) for j in range(dim))
-    wdeg = lambda v: sum(a * b for a, b in zip(w, v))
-    degs = {g: wdeg(g) for g in gens}
-    assert all(d >= 1 for d in degs.values())
-    # the largest degree sum of an independent generator subset: every
-    # degree is positive and linear independence is a matroid, so a basis
-    # taken greedily in descending degree attains it
-    E = Echelon(QQ)
-    B = 0
-    for g in sorted(gens, key=degs.get, reverse=True):
-        if E.insert(g, dict(enumerate(g))) is None:
-            B += degs[g]
-            if E.rank == dim:
-                break
-    points = _cone_points_up_to(gens, normals, w, B, dim)
-    pset = set(points)
-    by_degree = sorted(points, key=wdeg)
-    basis = []
-    for x in by_degree:
-        dx = wdeg(x)
+    normals of their cone.
+
+    Every cone point x lies in a simplicial cone of the triangulation, so
+    x = p + sum n_i v_i with p in the simplex's half-open parallelepiped
+    and n_i >= 0; an irreducible x is therefore a ray v_i or a point p.
+    Among those candidates, taken in degree order, x is reducible exactly
+    when x - h lies in the cone for a kept h of at most half its degree:
+    the summand of least degree of any decomposition into irreducibles
+    is such an h.
+    """
+    rays, facet_rays = _extreme_rays(gens, normals)
+    cands = set(rays)
+    for simplex in _pulling_triangulation(facet_rays, len(rays), dim):
+        cands.update(_parallelepiped_points([rays[i] for i in _bits(simplex)]))
+    w = tuple(map(sum, zip(*normals)))
+    kept = []  # (degree, facet values, point) of the basis so far
+    for dx, x in sorted((_dot(w, x), x) for x in cands):
+        vx = [_dot(n, x) for n in normals]
         reducible = False
-        for y in by_degree:
-            dy = wdeg(y)
-            if 2 * dy > dx:
+        for dh, vh, _ in kept:
+            if 2 * dh > dx:
                 break
-            diff = tuple(a - b for a, b in zip(x, y))
-            if diff != x and any(diff) and diff in pset:
+            if all(map(ge, vx, vh)):
                 reducible = True
                 break
         if not reducible:
-            basis.append(x)
-    return sorted(basis)
+            kept.append((dx, vx, x))
+    return sorted(x for _, _, x in kept)
 
 
-def _cone_points_up_to(gens, normals, w, B, dim):
-    """Nonzero lattice points x with normals.x >= 0 and 1 <= w.x <= B."""
-    # convex-hull coordinate bounds: x in conv{ (B/w(g)) g } scaled over [0,1]
-    los, his = [], []
-    for j in range(dim):
-        vals = [Fraction(B * g[j], sum(a * b for a, b in zip(w, g))) for g in gens]
-        los.append(min(min(vals), Fraction(0)))
-        his.append(max(max(vals), Fraction(0)))
-    lo = [int(x.__floor__()) for x in los]
-    hi = [int(x.__ceil__()) for x in his]
-    rows = [tuple(n) for n in normals] + [tuple(-c for c in w)]
-    consts = [0] * len(normals) + [-B]  # row . x >= const
+def _extreme_rays(gens, normals):
+    """The primitive extreme rays of the cone of gens, sorted, and for each
+    facet the bitset of the rays on it.
+
+    A generator's tight set (the facets vanishing on it) is maximal exactly
+    when it spans an extreme ray.  A generator tight on every facet lies in
+    the lineality space, so the cone is not pointed."""
+    full = (1 << len(normals)) - 1
+    tight = {}
+    for g in gens:
+        m = 0
+        for i, n in enumerate(normals):
+            if not _dot(n, g):
+                m |= 1 << i
+        if m == full:
+            raise ValueError("hilbert_basis requires a pointed cone")
+        tight.setdefault(primitive(g), m)
+    masks = set(tight.values())
+    rays = sorted(
+        r for r, m in tight.items() if not any(o != m and o & m == m for o in masks)
+    )
+    facet_rays = [0] * len(normals)
+    for j, r in enumerate(rays):
+        for i in _bits(tight[r]):
+            facet_rays[i] |= 1 << j
+    return rays, facet_rays
+
+
+def _pulling_triangulation(facet_rays, nrays, dim):
+    """The simplices, as bitsets of ray indices, of the pulling
+    triangulation of a pointed cone of dimension dim given the rays on each
+    facet.
+
+    A face is the set of rays on it.  A face with as many rays as its
+    dimension is a simplex; otherwise its first ray is coned over the
+    triangulations of its facets that miss that ray.  The facets of a face
+    F are the maximal sets among F & facet_rays[i] other than F, each of
+    dimension one less."""
+    memo = {}
+
+    def triangulate(F, d):
+        if F.bit_count() == d:
+            return [F]
+        got = memo.get(F)
+        if got is None:
+            low = F & -F
+            meets = {F & fr for fr in facet_rays} - {F}
+            got = memo[F] = [
+                s | low
+                for G in meets
+                if not G & low and not any(G != H and G & H == G for H in meets)
+                for s in triangulate(G, d - 1)
+            ]
+        return got
+
+    return triangulate((1 << nrays) - 1, dim)
+
+
+def _parallelepiped_points(cols):
+    """The nonzero lattice points sum lam_i cols[i], 0 <= lam_i < 1, of the
+    simplicial cone over the linearly independent integer vectors cols.
+
+    There are |det| - 1 of them, none for a unimodular simplex.  Otherwise
+    with V the matrix of columns cols and U V W = D its Smith form, the
+    points U^-1 k (0 <= k_j < d_j) represent Z^d / V Z^d, and
+    V^-1 U^-1 k = W D^-1 k, so the point of the class of k is
+    V ((W D^-1 k) mod 1)."""
+    if abs(_det(cols)) == 1:
+        return []
+    d = len(cols)
+    V = [[c[i] for c in cols] for i in range(d)]
+    _, D, W = smith_normal_form(V)
+    diag = [D[j][j] for j in range(d)]
+    N = diag[-1]
+    orders = [diag[j] for j in range(d) if diag[j] > 1]
+    steps = [[W[i][j] * (N // diag[j]) for i in range(d)] for j in range(d) if diag[j] > 1]
     out = []
-    x = [0] * dim
-
-    def rec(j):
-        if j == dim:
-            v = tuple(x)
-            if any(v) and all(
-                sum(a * b for a, b in zip(n, v)) >= 0 for n in normals
-            ):
-                d = sum(a * b for a, b in zip(w, v))
-                if 1 <= d <= B:
-                    out.append(v)
-            return
-        for val in range(lo[j], hi[j] + 1):
-            x[j] = val
-            feasible = True
-            for row, cst in zip(rows, consts):
-                part = sum(row[t] * x[t] for t in range(j + 1))
-                rest = sum(
-                    row[t] * (hi[t] if row[t] > 0 else lo[t]) for t in range(j + 1, dim)
-                )
-                if part + rest < cst:
-                    feasible = False
-                    break
-            if feasible:
-                rec(j + 1)
-        x[j] = 0
-
-    rec(0)
+    for ks in product(*map(range, orders)):
+        lam = [sum(k * s[i] for k, s in zip(ks, steps)) % N for i in range(d)]
+        if any(lam):
+            out.append(tuple(_dot(row, lam) // N for row in V))
     return out
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * a[k][j]) // prev
+        prev = akk
+    return sign * a[-1][-1]
 
 
 def _saturate_cone_lattice(vectors, dim):
@@ -173,8 +228,9 @@ def _saturate_cone_lattice(vectors, dim):
             for h in inner
         ]
     normals = facet_normals(vectors, dim)
-    lin_rank = dim - rank_of([list(n) for n in normals]) if normals else dim
-    if lin_rank == 0:
+    # the lineality space is the face on every facet, spanned by the
+    # vectors on it, so the cone is pointed when no vector lies on it
+    if not any(all(_dot(n, v) == 0 for n in normals) for v in vectors):
         return _hilbert_basis(sorted(set(vectors)), dim, normals)
     if normals:
         lin_basis = integer_kernel([list(n) for n in normals])

@@ -120,28 +120,41 @@ class RationalCone:
         The generator sets of all intersections of facets are the closure of
         the full set under intersection with each facet's generator set, so
         the cost is #faces x #facets mask operations.
+
+        The face lattice is graded, so the dimension of a face is the
+        cone's dimension less the length of the longest chain of strict
+        superfaces above it.  Every facet of a face G is G cut by a facet
+        of the cone, so taking faces in order of decreasing generator count
+        and G & facet one step below G gives that length.
         """
         if hasattr(self, "_faces"):
             return self._faces
-        seen = {self.all_gens}
+        depth = {self.all_gens: 0}
         frontier = [self.all_gens]
         while frontier:
             nxt = []
             for gm in frontier:
                 for fm in self.facet_mask:
                     h = gm & fm
-                    if h not in seen:
-                        seen.add(h)
+                    if h not in depth:
+                        depth[h] = 0
                         nxt.append(h)
             frontier = nxt
+        order = sorted(depth, key=int.bit_count, reverse=True)
+        for gm in order:
+            below = depth[gm] + 1
+            for fm in self.facet_mask:
+                h = gm & fm
+                if h != gm and depth[h] < below:
+                    depth[h] = below
         faces = []
-        for gm in seen:
+        for gm in order:
             gi = _bits(gm)
             # canonical normal set: everything vanishing on the face
             nm = self.all_facets
             for j in gi:
                 nm &= self.gen_mask[j]
-            dim = rank_of([list(self.bar_gens[j]) for j in gi])
+            dim = self.dim - depth[gm]
             rays = sorted({primitive(self.bar_gens[j]) for j in gi})
             faces.append((dim, rays, gi, _bits(nm)))
         faces.sort(key=lambda t: (t[0], t[1]))

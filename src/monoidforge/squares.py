@@ -64,7 +64,7 @@ class Corner:
 
     def basis_upto(self, d):
         if self.monomial:
-            return [self.algebra.monomial(k) for k in self.algebra.keys_upto(d)]
+            return [self.algebra._listed_monomial(k) for k in self.algebra.keys_upto(d)]
         return self._basis_fn(d)
 
     def ring(self):
@@ -231,7 +231,7 @@ class _Truncations:
             n = self._number.get(s)
             if n is None:
                 n = self._number[s] = len(self.elems)
-                self.elems.append(c.algebra.monomial(s) if elems is None else elems[i])
+                self.elems.append(c.algebra._listed_monomial(s) if elems is None else elems[i])
             out.append(n)
         return out
 
@@ -885,7 +885,7 @@ def _kernel_certificate(square, piece, Ak, bound):
     right = square.maps["right"]
     piece_keys = {k: piece.weight(k) for k in piece.keys_upto(bound) if any(k)}
     killed = {k: Ak.weight(k) for k in Ak.keys_upto(bound)
-              if right(Ak.monomial(k)).is_zero()}
+              if right(Ak._listed_monomial(k)).is_zero()}
     bad = _first_difference(killed, piece_keys, bound)
     if bad <= bound:
         raise AssertionError(
@@ -969,7 +969,7 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
     section = make_key_map(NQ, lambda k: k)
     square.description["split_section"] = section
     for key in sorted(nl_keys, key=lhs.__getitem__):  # by degree, then in order
-        e = NL.monomial(key)
+        e = NL._listed_monomial(key)
         if square.maps["right"](section(e)) != e:
             raise AssertionError(f"split section fails at {key}")
     return square
@@ -1084,7 +1084,7 @@ def build_torsion_splitting(L, n_list, R):
     pi = make_key_map(B2alg, pi_key)
 
     def j_monomials(d):  # monomials with nonzero L part, in B1 coords
-        return [B1alg.monomial(key) for key in B1alg.keys_upto(d) if any(key[:p])]
+        return [B1alg._listed_monomial(key) for key in B1alg.keys_upto(d) if any(key[:p])]
 
     def b_basis(d):  # t^(jn) and the binomials t^(k+n) - t^k, n not dividing k
         out = []

@@ -284,3 +284,31 @@ def test_face_submonoids():
     for f in faces:
         ok, _, _ = is_extremal(z2p, face_submonoid(z2p, f).generators)
         assert ok
+
+
+def test_face_dims_match_rank_of():
+    # faces() reads each dimension off the face lattice; the rank of the
+    # generators on the face is the oracle
+    cones = [[(1, i, i * i) for i in range(n)] for n in range(3, 12)]
+    cones += [[(1, i, i * i, i**3) for i in range(n)] for n in range(4, 9)]
+    rng = random.Random(1516)
+    while len(cones) < 14 + 300:
+        dim = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(dim))
+            for _ in range(rng.randint(1, dim + 3))
+        ]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            cones.append(gens)
+    pointed = 0
+    for gens in cones:
+        Mon = M(AbelianGroupShape(len(gens[0])), gens)
+        cone = RationalCone(Mon)
+        pointed += cone.pointed()
+        for f in cone.faces():
+            assert f.dim == rank_of([list(cone.bar_gens[j]) for j in f.gen_indices]), (
+                gens,
+                f,
+            )
+    assert 50 < pointed < len(cones) - 50, pointed

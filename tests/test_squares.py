@@ -240,3 +240,36 @@ def test_integer_coordinates_of_single_monomials():
     assert co6.express(el({x: 4})) is None
     with pytest.raises(ValueError, match="span corners over Z/6 are not supported"):
         co6.add(1, binomial)
+
+
+def test_listed_keys_skip_the_membership_check(monkeypatch):
+    # keys listed by keys_upto become monomials without a second member
+    # call; the same walk with every monomial checked gives the same reports
+    from monoidforge import monoid
+    from monoidforge.acceptance import _six_square_instances
+    from monoidforge.algebra import CancellativeAlgebra, MonoidAlgebraBase
+
+    real = monoid._graded_member
+    calls = []
+    monkeypatch.setattr(monoid, "_graded_member", lambda M, a: calls.append(a) or real(M, a))
+
+    def walk():
+        calls.clear()
+        reports = [
+            verify_cartesian(sq, degree_bound=10).to_json() for _, sq in _six_square_instances(2)
+        ]
+        return reports, len(calls)
+
+    listed, listed_calls = walk()
+
+    def checked(self, key, coeff=1):
+        if not self.contains_key(key):
+            raise ValueError(key)
+        return self.elem([(key, coeff)])
+
+    monkeypatch.setattr(MonoidAlgebraBase, "_listed_monomial", checked)
+    rechecked, rechecked_calls = walk()
+    assert listed == rechecked
+    assert listed_calls < rechecked_calls, (listed_calls, rechecked_calls)
+    with pytest.raises(ValueError):
+        CancellativeAlgebra(M23, GF(2)).monomial((1,))
