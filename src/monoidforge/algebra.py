@@ -39,9 +39,6 @@ class MonoidAlgebraBase:
     def keys_upto(self, bound):
         raise NotImplementedError
 
-    def keys_of_degree(self, d):
-        return [k for k in self.keys_upto(d) if self.weight(k) == d]
-
     def contains_key(self, key):
         raise NotImplementedError
 

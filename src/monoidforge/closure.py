@@ -14,14 +14,15 @@ from .lattice import (
     AbelianGroupShape,
     Record,
     _dot,
+    double_description,
     facet_normals,
+    field_eliminate,
     integer_kernel,
     primitive,
-    rank_of,
     smith_normal_form,
     solve_smith,
-    unimodular_inverse,
 )
+from .rings import QQ
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
 from .cones import _bits, bar_face_submonoid, face_lattice, interior_member
 
@@ -160,18 +161,19 @@ def _parallelepiped_points(cols):
     """The nonzero lattice points sum lam_i cols[i], 0 <= lam_i < 1, of the
     simplicial cone over the linearly independent integer vectors cols.
 
-    There are |det| - 1 of them, none for a unimodular simplex.  Otherwise
-    with V the matrix of columns cols and U V W = D its Smith form, the
+    With V the matrix of columns cols and U V W = D its Smith form, the
     points U^-1 k (0 <= k_j < d_j) represent Z^d / V Z^d, and
     V^-1 U^-1 k = W D^-1 k, so the point of the class of k is
-    V ((W D^-1 k) mod 1)."""
-    if abs(_det(cols)) == 1:
-        return []
+    V ((W D^-1 k) mod 1).  There are |det| - 1 = d_1 ... d_n - 1 of them;
+    the simplex is unimodular, with none, exactly when the last elementary
+    divisor d_n (a multiple of every d_j) is 1."""
     d = len(cols)
     V = [[c[i] for c in cols] for i in range(d)]
     _, D, W = smith_normal_form(V)
     diag = [D[j][j] for j in range(d)]
     N = diag[-1]
+    if N == 1:
+        return []
     orders = [diag[j] for j in range(d) if diag[j] > 1]
     steps = [[W[i][j] * (N // diag[j]) for i in range(d)] for j in range(d) if diag[j] > 1]
     out = []
@@ -182,26 +184,6 @@ def _parallelepiped_points(cols):
     return out
 
 
-def _det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            ai, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * a[k][j]) // prev
-        prev = akk
-    return sign * a[-1][-1]
-
-
 def _saturate_cone_lattice(vectors, dim):
     """Generators of cone(vectors) cap Z^dim: Hilbert basis when the cone is
     pointed, otherwise a lattice basis of the (saturated) lineality part plus
@@ -210,8 +192,10 @@ def _saturate_cone_lattice(vectors, dim):
     vectors = [tuple(v) for v in vectors if any(v)]
     if dim == 0 or not vectors:
         return []
-    d = rank_of([list(v) for v in vectors])
-    if d < dim:
+    # the lineality is empty exactly when the vectors span Z^dim
+    lin, rays, _ = double_description(vectors, dim)
+    if lin:
+        d = dim - len(lin)
         perp = integer_kernel([list(v) for v in vectors])
         span_basis = integer_kernel([list(p) for p in perp])
         assert len(span_basis) == d
@@ -227,7 +211,7 @@ def _saturate_cone_lattice(vectors, dim):
             tuple(sum(bmat[i][j] * h[j] for j in range(d)) for i in range(dim))
             for h in inner
         ]
-    normals = facet_normals(vectors, dim)
+    normals = sorted(rays)
     # the lineality space is the face on every facet, spanned by the
     # vectors on it, so the cone is pointed when no vector lies on it
     if not any(all(_dot(n, v) == 0 for n in normals) for v in vectors):
@@ -244,11 +228,12 @@ def _saturate_cone_lattice(vectors, dim):
     proj = lambda v: tuple(sum(U[i][t] * v[t] for t in range(dim)) for i in range(k, dim))
     img = [proj(g) for g in vectors]
     hb_q = hilbert_basis([v for v in img if any(v)], dim - k) if dim - k else []
-    Uinv = unimodular_inverse(U)
+    # U is unimodular, so U x = (0, h) has the integer solution U^-1 (0, h)
     lifts = []
-    for h in hb_q:
-        full = [0] * k + list(h)
-        lifts.append(tuple(sum(Uinv[i][t] * full[t] for t in range(dim)) for i in range(dim)))
+    for x in field_eliminate(QQ, U, [[0] * k + list(h) for h in hb_q])[2]:
+        if any(c.denominator != 1 for c in x):
+            raise RuntimeError("lift through a non-unimodular Smith transform")
+        lifts.append(tuple(map(int, x)))
     return (
         lifts
         + [tuple(b) for b in lin_basis]

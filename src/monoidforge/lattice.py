@@ -1,11 +1,11 @@
-"""Exact linear algebra: Smith normal form with transforms, integer kernels,
-solves and inverses (with torsion congruences), subgroup shapes, facet
-normals of rational cones, rational feasibility, the non-negative integer
-solve (an adapter over the membership engine of monoid.py), and field
-elimination: Echelon, a reduced column echelon form grown one column at a
-time, is the one elimination kernel; field_eliminate runs it over the
-columns of a matrix to give its rank, a kernel basis and a solution for
-every right-hand side passed with it.
+"""Exact linear algebra: Smith normal form with transforms, integer kernels
+and solves (with torsion congruences), subgroup shapes, facet normals of
+rational cones, rational feasibility, the non-negative integer solve (an
+adapter over the membership engine of monoid.py), and field elimination:
+Echelon, a reduced column echelon form grown one column at a time, is the
+one elimination kernel; field_eliminate runs it over the columns of a
+matrix to give its rank, a kernel basis and a solution for every
+right-hand side passed with it.
 
 Integer and rational arithmetic is arbitrary-precision Python int /
 Fraction; Echelon computes with the elements and operations of a
@@ -239,15 +239,6 @@ def solve_smith(snf, b):
     return tuple(sum(row[i] * y for i, y in ynz) for row in V)
 
 
-def unimodular_inverse(m):
-    """Inverse of a square integer matrix of determinant +-1, from one Smith
-    form: U m V = I gives m^-1 = V U."""
-    U, D, V = smith_normal_form(m)
-    if any(D[i][i] != 1 for i in range(len(D))):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(V, U)
-
-
 def rank_of(m):
     if not m or not m[0]:
         return 0
@@ -382,9 +373,6 @@ class AbelianGroupShape(Record):
         r = self.free_rank
         tail = [n * x % d for x, d in zip(a[r:], self.torsion)]
         return tuple([n * x for x in a[:r]]) + tuple(tail)
-
-    def free_part(self, a):
-        return tuple(a[: self.free_rank])
 
     def torsion_part(self, a):
         return tuple(a[self.free_rank :])

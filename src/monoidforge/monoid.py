@@ -24,14 +24,14 @@ from .lattice import (
     diagonal_of,
     element_in_subgroup,
     facet_normals,
+    field_eliminate,
     grading_for,
     mat_mul,
-    rank_of,
     smith_normal_form,
-    solve_rational,
     solve_smith,
     subgroup_shape,
 )
+from .rings import QQ
 
 
 class InconclusiveError(Exception):
@@ -427,24 +427,15 @@ class TorsionQuotient:
         basis = [tuple(AV[i][j] for i in range(k)) for j in range(r)]
         self.rank = r
         self._basis = basis
-        bmat = [[basis[j][i] for j in range(r)] for i in range(k)]  # k x r
-        self._bmat = bmat
-        # one Smith form of the basis matrix serves every projection
-        self._bsnf = smith_normal_form(bmat) if r else None
+        self._U = U
+        self._diag = diag[:r]
         bar_gens = [self.project(g) for g in gens]
         self._bar_images = bar_gens
         self.Mbar = CancellativeMonoid(AbelianGroupShape(r), bar_gens)
-        # section: write each basis vector as an integer combination of the
-        # generators' free parts, then lift with the full torsion data
-        sections = []
-        for b in basis:
-            c = solve_smith((U, D, V), b)
-            assert c is not None
-            lift = amb.zero()
-            for ci, g in zip(c, gens):
-                lift = amb.add(lift, amb.scale(ci, g))
-            sections.append(lift)
-        self._sections = sections
+        # section: basis vector j is A times column j of V, so it lifts to
+        # the combination of the generators, torsion data included, with
+        # the coefficients of that column
+        self._sections = [_combine([row[j] for row in V], gens, amb) for j in range(r)]
         # t(M) = gp(M) cap torsion, generated by g - section(project(g))
         tgens = []
         for g in gens:
@@ -454,13 +445,17 @@ class TorsionQuotient:
         self.torsion_elements = _group_closure(tgens, amb)
 
     def project(self, a):
-        """Coordinates of a's free part in gp(Mbar) = Z^r."""
+        """Coordinates of a's free part x in gp(Mbar) = Z^r.  The basis
+        vectors are d_j U^-1 e_j, so these are the (U x)_j / d_j; x is outside
+        the lattice when some d_j does not divide (U x)_j or a row of U past
+        the rank is nonzero on x."""
         if not self.rank:
             return ()
-        c = solve_smith(self._bsnf, a[: self.M.ambient.free_rank])
-        if c is None:
+        x = a[: self.M.ambient.free_rank]
+        ux = [_dot(row, x) for row in self._U]
+        if any(ux[self.rank :]) or any(y % d for y, d in zip(ux, self._diag)):
             raise ValueError(f"{a} has free part outside the generator lattice")
-        return c
+        return tuple(y // d for y, d in zip(ux, self._diag))
 
     def section(self, v):
         """Splitting gp(Mbar) -> gp(M); project(section(v)) == v."""
@@ -469,12 +464,6 @@ class TorsionQuotient:
         for c, s in zip(v, self._sections):
             out = amb.add(out, amb.scale(c, s))
         return out
-
-    def torsion_shape(self):
-        return subgroup_shape(
-            [t for t in self.torsion_elements if any(t)] or [],
-            self.M.ambient,
-        )
 
 
 class UnitQuotient:
@@ -537,14 +526,12 @@ class UnitQuotient:
         gens = self.M.generators
         k = amb.free_rank
         target = [-x for x in gens[j][:k]]
-        span = rank_of([list(gens[i][:k]) for i in self.units])
+        span = field_eliminate(QQ, [[gens[i][t] for i in self.units] for t in range(k)])[0]
         for size in range(span + 1):
             for subset in combinations(self.units, size):
                 mat = [[gens[i][t] for i in subset] for t in range(k)]
-                if size and rank_of(mat) < size:
-                    continue
-                q = solve_rational(mat, target)
-                if q is None or any(x < 0 for x in q):
+                rank, _, (q,) = field_eliminate(QQ, mat, [target])
+                if rank < size or q is None or any(x < 0 for x in q):
                     continue
                 N, scaled = clear_denominators(q)
                 coeffs = [0] * len(gens)

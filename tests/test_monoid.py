@@ -124,13 +124,20 @@ def test_torsion_quotient():
 
 def test_project_matches_solve_integer():
     # the stored Smith form gives the same coordinates as a fresh solve
-    for m in (M(Z2, [(1, 0), (1, 2)]), M(ZxZ2, [(2, 1), (3, 0), (5, 1)])):
+    # against the basis matrix
+    diagonal = M(Z2, [(1, 1)])
+    for m in (M(Z2, [(1, 0), (1, 2)]), M(ZxZ2, [(2, 1), (3, 0), (5, 1)]), diagonal):
         tq = m.torsion_quotient()
         k = m.ambient.free_rank
+        bmat = [[b[i] for b in tq._basis] for i in range(k)]  # columns = basis
         for el in sorted(m.slice(6)):
-            assert tq.project(el) == solve_integer(tq._bmat, list(el[:k]))
+            assert tq.project(el) == solve_integer(bmat, list(el[:k]))
+    # off the lattice: a coordinate not divisible by its elementary divisor,
+    # and a free part off the span (a row of U past the rank)
     with pytest.raises(ValueError):
         M(Z2, [(2, 0), (0, 2)]).torsion_quotient().project((1, 0))
+    with pytest.raises(ValueError):
+        diagonal.torsion_quotient().project((1, 0))
 
 
 def classes_slice(q, bound):
