@@ -2,12 +2,13 @@
 maps, graded/filtered truncations, and the reducedness/domain/units verdicts.
 
 Hosts:
-  * CancellativeAlgebra -- R[M] for a cancellative monoid M;
-  * PcAlgebra          -- R[N/I] = R[N]/R[I], the collapsed class acting as 0
-                          (except I = N, where the quotient is the singleton
-                          monoid and the algebra is R itself);
-  * MonomialSubsetAlgebra -- the span of a sum-closed monomial subset, used
-                          for I_* and face-interior corners.
+  * MonomialQuotientAlgebra -- R[M]/(the monomials a kill predicate names)
+                          for a cancellative M; CancellativeAlgebra (R[M],
+                          no predicate) and PcAlgebra (R[N/I] = R[N]/R[I],
+                          R itself for I = N) only name it;
+  * MonomialSubsetAlgebra -- the span of a sum-closed monomial subset,
+                          asserted on every product, used for I_* and
+                          face-interior corners.
 
 Elements never store zero coefficients; all verification is on bounded
 truncations with the bound reported.
@@ -137,82 +138,15 @@ def _keys_and_levels(M, weight_fn, bound):
     return keys, levels
 
 
-class CancellativeAlgebra(MonoidAlgebraBase):
-    def __init__(self, M, ring, weight_fn=None):
-        self.M = M
-        self.ring = ring
-        self.name = f"M{list(M.generators)}"
-        self._custom = weight_fn
-        if weight_fn is not None:
-            self._weight = weight_fn
-        elif M.grading() is not None:
-            self._weight = M.degree
-        else:
-            self._weight = M.filtration_weight
-
-    def weight(self, key):
-        return self._weight(key)
-
-    def add_keys(self, a, b):
-        return self.M.ambient.add(a, b)
-
-    def zero_key(self):
-        return self.M.ambient.zero()
-
-    def keys_upto(self, bound):
-        return monoid_keys_by_weight(self.M, self._custom, bound)
-
-    def contains_key(self, key):
-        return member(self.M, key).is_yes
-
-
-class PcAlgebra(MonoidAlgebraBase):
-    """R[N/I] = R[N]/R[I]; for proper nonempty I the collapsed class acts as
-    zero, and for I = N the quotient is the singleton monoid with algebra R."""
-
-    def __init__(self, Q, ring, weight_fn=None):
-        self.Q = Q
-        self.ring = ring
-        self.singleton = Q.is_singleton() if Q.has_collapse else False
-        self.name = f"M{list(Q.base.generators)}/I{list(Q.collapse_gens)}"
-        base = Q.base
-        self._custom = weight_fn
-        if weight_fn is not None:
-            self._weight = weight_fn
-        elif base.grading() is not None:
-            self._weight = base.degree
-        else:
-            self._weight = base.filtration_weight
-
-    def weight(self, key):
-        return 0 if self.singleton else self._weight(key)
-
-    def add_keys(self, a, b):
-        if self.singleton:
-            return self.Q.base.ambient.zero()
-        s = self.Q.base.ambient.add(a, b)
-        if self.Q.has_collapse and self.Q.collapsed(s):
-            return None
-        return s
-
-    def zero_key(self):
-        return self.Q.base.ambient.zero()
-
-    def keys_upto(self, bound):
-        if self.singleton:
-            return [self.zero_key()]
-        keys = monoid_keys_by_weight(self.Q.base, self._custom, bound)
-        return sorted(k for k in keys if not (self.Q.has_collapse and self.Q.collapsed(k)))
-
-    def contains_key(self, key):
-        if self.singleton:
-            return key == self.zero_key()
-        return self.Q.member(key).is_yes
+def _default_weight(M):
+    """The canonical degree of a positive M, else the filtration weight."""
+    return M.degree if M.grading() is not None else M.filtration_weight
 
 
 class MonomialQuotientAlgebra(MonoidAlgebraBase):
     """R[M]/(monomial ideal given by a kill predicate): keys are the
-    surviving monomials, products falling into the ideal die."""
+    surviving monomials, products falling into the ideal die.  With no kill
+    predicate this is R[M] itself."""
 
     def __init__(self, M, ring, kill_pred, name, weight_fn=None):
         self.M = M
@@ -220,29 +154,47 @@ class MonomialQuotientAlgebra(MonoidAlgebraBase):
         self._kill = kill_pred
         self.name = name
         self._custom = weight_fn
-        if weight_fn is not None:
-            self._weight = weight_fn
-        elif M.grading() is not None:
-            self._weight = M.degree
-        else:
-            self._weight = M.filtration_weight
+        self._weight = weight_fn or _default_weight(M)
 
     def weight(self, key):
         return self._weight(key)
 
     def add_keys(self, a, b):
         s = self.M.ambient.add(a, b)
-        return None if self._kill(s) else s
+        return s if self._kill is None or not self._kill(s) else None
 
     def zero_key(self):
         return self.M.ambient.zero()
 
     def keys_upto(self, bound):
         keys = monoid_keys_by_weight(self.M, self._custom, bound)
-        return [k for k in keys if not self._kill(k)]
+        return keys if self._kill is None else [k for k in keys if not self._kill(k)]
 
     def contains_key(self, key):
-        return member(self.M, key).is_yes and not self._kill(key)
+        return member(self.M, key).is_yes and (self._kill is None or not self._kill(key))
+
+
+class CancellativeAlgebra(MonomialQuotientAlgebra):
+    """R[M] for a cancellative monoid M."""
+
+    def __init__(self, M, ring, weight_fn=None):
+        super().__init__(M, ring, None, f"M{list(M.generators)}", weight_fn)
+
+
+class PcAlgebra(MonomialQuotientAlgebra):
+    """R[N/I] = R[N]/R[I]; for proper nonempty I the collapsed class acts as
+    zero, and for I = N the quotient is the singleton monoid with algebra R."""
+
+    def __init__(self, Q, ring, weight_fn=None):
+        self.Q = Q
+        self.singleton = Q.is_singleton()
+        if self.singleton:
+            zero = Q.base.ambient.zero()
+            kill = lambda key: key != zero
+        else:
+            kill = Q.collapsed if Q.has_collapse else None
+        name = f"M{list(Q.base.generators)}/I{list(Q.collapse_gens)}"
+        super().__init__(Q.base, ring, kill, name, weight_fn)
 
 
 class MonomialSubsetAlgebra(MonoidAlgebraBase):
@@ -354,6 +306,8 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative power {n} of a monoid algebra element")
         out = self.algebra.one()
         for _ in range(n):
             out = out * self
@@ -377,18 +331,19 @@ class AlgebraElement:
 
 def parse_element_literal(algebra, text):
     """Parse 'c1*x[a1]+c2*x[a2]' with exponent vectors, e.g.
-    '2*x[1,0]+x[0,3]' or '1' or 'x[2]'.  Coefficients are integers mapped
-    into the ring; missing coefficients default to 1."""
+    '2*x[1,0]+x[0,3]' or '1' or 'x[2]' or '-x[-1,0]'.  Coefficients are
+    integers mapped into the ring; missing coefficients default to 1."""
     import re
 
     pairs = []
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty element literal")
-    # split on + and - while keeping signs
-    tokens = re.findall(r"[+-]?[^+-]+", text)
+    # split on + and - outside brackets while keeping signs, so that an
+    # exponent vector may hold negative entries
+    tokens = re.findall(r"[+-]?(?:\[[^\]]*\]|[^+-])+", text)
     for tok in tokens:
-        m = re.fullmatch(r"([+-]?\d*)\*?(?:x\[([0-9,\-]+)\])?", tok)
+        m = re.fullmatch(r"([+-]?\d*)\*?(?:x\[(-?\d+(?:,-?\d+)*)\])?", tok)
         if not m or (not m.group(1) and not m.group(2)):
             raise ValueError(f"bad term {tok!r} in element literal")
         coeff_text, expo_text = m.group(1), m.group(2)
@@ -410,10 +365,8 @@ def parse_element_literal(algebra, text):
 
 def truncate(u, d):
     """Drop support above degree d; requires a positive host grading."""
-    alg = u.algebra
-    M = alg.M if isinstance(alg, CancellativeAlgebra) else getattr(alg, "Q", None)
-    base = M.base if isinstance(M, PcMonoid) else M
-    if base is None or base.grading() is None:
+    M = getattr(u.algebra, "M", None)
+    if M is None or M.grading() is None:
         raise ValueError("truncate requires a host with a strictly positive grading")
     return u.truncate_to(d)
 

@@ -84,11 +84,6 @@ class RationalCone:
         # vanishing masks of the host's own generators, in M.generators order
         self.host_masks = [self.vanishing_mask(v) for v in self.tq._bar_images]
 
-    def pointed(self):
-        if self.dim == 0:
-            return True
-        return rank_of([list(n) for n in self.normals]) == self.dim
-
     def vanishing_mask(self, v):
         """Bitset of the facet normals vanishing at the point v (Mbar coords)."""
         m = 0
@@ -107,10 +102,6 @@ class RationalCone:
             if c:
                 m &= v
         return m
-
-    def vanishing_set(self, v):
-        """Indices of facet normals vanishing at the point v (Mbar coords)."""
-        return _bits(self.vanishing_mask(v))
 
     def faces(self):
         """All faces, dimension-sorted; ties broken lex on sorted ray lists.
@@ -215,23 +206,6 @@ def interior_member(M, a):
     cone = _cone_of(M)
     v = cone.tq.project(a)
     return cone.vanishing_mask(v) == 0
-
-
-def interior_member_definitional(M, a, n_bound=24):
-    """Swan's definitional search, used as a cross-check: for every generator
-    b find n <= n_bound and c in M with n*a = b + c."""
-    amb = M.ambient
-    a = amb.reduce(a)
-    for b in M.generators:
-        ok = False
-        for n in range(1, n_bound + 1):
-            c = amb.sub(amb.scale(n, a), b)
-            if member(M, c).is_yes:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 def face_submonoid(M, face):

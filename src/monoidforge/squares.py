@@ -15,6 +15,7 @@ truncation to name its witness.
 """
 
 import copy
+from functools import cache
 from itertools import product
 
 from .lattice import (
@@ -29,14 +30,7 @@ from .lattice import (
 from .monoid import CancellativeMonoid, PcMonoid, member, smash, units_submonoid
 from .cones import face_lattice, face_locate
 from .closure import is_normal, is_seminormal
-from .ideals import (
-    MonoidIdeal,
-    _predicate_ideal_generators,
-    is_prime,
-    is_radical,
-    prime_decomposition,
-    radical,
-)
+from .ideals import MonoidIdeal, is_prime, is_radical, radical
 from .rings import QQ
 from .algebra import (
     AlgebraElement,
@@ -44,6 +38,7 @@ from .algebra import (
     MonomialQuotientAlgebra,
     MonomialSubsetAlgebra,
     PcAlgebra,
+    _default_weight,
     monoid_keys_by_weight,
 )
 
@@ -609,30 +604,8 @@ def quotient_map_apply(square, leg, u):
     return square.maps[leg](u)
 
 
-def verify_leg_surjective(square, leg, degree_bound, slack=0):
-    """Key-level surjectivity of a declared leg on truncations: every basis
-    key of the target is hit by a source key of weight <= degree + slack."""
-    src_name, dst_name = {"right": ("A2", "B2"), "bottom": ("B1", "B2")}[leg]
-    src, dst = square.corner(src_name), square.corner(dst_name)
-    fn = square.maps[leg]
-    for d in range(degree_bound + 1):
-        targets = {k for e in dst.basis_upto(d) for k in e.coeffs}
-        hit = set()
-        for e in src.basis_upto(d + slack):
-            hit.update(fn(e).coeffs.keys())
-        if not targets <= hit:
-            return False, sorted(targets - hit)[0]
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _shared_weight(M):
-    if M.grading() is not None:
-        return M.degree
-    return M.filtration_weight
 
 
 def _trivial_algebra(R):
@@ -657,20 +630,14 @@ def build_seminormal_step(M, a, R):
         raise ValueError("seminormal step requires a positive extension")
     w = Mb.degree
 
-    conductor_cache = {}
-
+    @cache
     def in_conductor(key):
-        if key not in conductor_cache:
-            conductor_cache[key] = (
-                member(Mb, amb.sub(key, two)).is_yes
-                or member(Mb, amb.sub(key, three)).is_yes
-            )
-        return conductor_cache[key]
+        return member(Mb, amb.sub(key, two)).is_yes or member(Mb, amb.sub(key, three)).is_yes
 
     A = CancellativeAlgebra(M, R, weight_fn=w)
-    B = CancellativeAlgebra(Mb, R, weight_fn=w)
+    B = CancellativeAlgebra(Mb, R)
     AmodI = MonomialQuotientAlgebra(M, R, in_conductor, "A/I", weight_fn=w)
-    BmodI = MonomialQuotientAlgebra(Mb, R, in_conductor, "B/I", weight_fn=w)
+    BmodI = MonomialQuotientAlgebra(Mb, R, in_conductor, "B/I")
     corners = {
         "A1": Corner("A", algebra=A),
         "A2": Corner("B", algebra=B),
@@ -703,12 +670,10 @@ def build_positive_split(M, R):
     amb = M.ambient
     ugens = units_submonoid(M)
     U = CancellativeMonoid(amb, ugens + [amb.neg(g) for g in ugens])
-    unit_cache = {}
 
+    @cache
     def is_unit_key(key):
-        if key not in unit_cache:
-            unit_cache[key] = member(M, amb.neg(key)).is_yes
-        return unit_cache[key]
+        return member(M, amb.neg(key)).is_yes
 
     w = M.filtration_weight
     Malg = CancellativeAlgebra(M, R, weight_fn=w)
@@ -743,32 +708,17 @@ def build_positive_split(M, R):
     return square
 
 
-def verify_split_section(square, degree_bound=8):
-    """The recorded section composed with the surjective leg is the identity
-    on truncations."""
-    section = square.description["split_section"]
-    right = square.maps["right"]
-    B2 = square.corner("B2")
-    for e in B2.basis_upto(degree_bound):
-        if right(section(e)) != e:
-            return False, e
-    return True, None
-
-
 def build_pc(N, ideal_gens, R):
     """The pc square: corners R[I_*], R[N], R, R[N/I]."""
     amb = N.ambient
     Q = PcMonoid(N, ideal_gens)
-    w = _shared_weight(N)
-    Nalg = CancellativeAlgebra(N, R, weight_fn=w)
-    Qalg = PcAlgebra(Q, R, weight_fn=w)
+    Nalg = CancellativeAlgebra(N, R)
+    Qalg = PcAlgebra(Q, R)
     I = MonoidIdeal(N, list(ideal_gens))
-    istar_cache = {}
 
+    @cache
     def in_star(key):
-        if key not in istar_cache:
-            istar_cache[key] = key == amb.zero() or I.member(key).is_yes
-        return istar_cache[key]
+        return key == amb.zero() or I.member(key).is_yes
 
     Istar = MonomialSubsetAlgebra(Nalg, in_star, "I*")
     Ralg = _trivial_algebra(R)
@@ -818,18 +768,15 @@ def build_face_filtration(M, k, R, kernel_bound=10):
     r = len(faces) - 1
     if not 1 <= k <= r + 1:
         raise ValueError(f"k must be in 1..{r + 1}")
-    w = M.degree
-    locate_cache = {}
 
+    @cache
     def loc(key):
-        if key not in locate_cache:
-            locate_cache[key] = face_locate(M, key).index
-        return locate_cache[key]
+        return face_locate(M, key).index
 
-    Malg = CancellativeAlgebra(M, R, weight_fn=w)
-    Ak = MonomialQuotientAlgebra(M, R, lambda key: loc(key) >= k, f"A_{k}", weight_fn=w)
+    Malg = CancellativeAlgebra(M, R)
+    Ak = MonomialQuotientAlgebra(M, R, lambda key: loc(key) >= k, f"A_{k}")
     Akm1 = MonomialQuotientAlgebra(
-        M, R, lambda key: loc(key) >= k - 1 and any(key), f"A_{k - 1}", weight_fn=w
+        M, R, lambda key: loc(key) >= k - 1 and any(key), f"A_{k - 1}"
     )
     piece = MonomialSubsetAlgebra(
         Malg, lambda key: not any(key) or loc(key) == k - 1, f"piece_{k - 1}"
@@ -905,19 +852,14 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
         raise ValueError("first ideal must be prime")
     if not is_radical(Qd):
         raise ValueError("second ideal must be radical")
-    w = _shared_weight(N)
 
-    p_cache, q_cache = {}, {}
-
+    @cache
     def in_p(key):
-        if key not in p_cache:
-            p_cache[key] = P.member(key).is_yes
-        return p_cache[key]
+        return P.member(key).is_yes
 
+    @cache
     def in_q(key):
-        if key not in q_cache:
-            q_cache[key] = Qd.member(key).is_yes
-        return q_cache[key]
+        return Qd.member(key).is_yes
 
     def in_i(key):
         return in_p(key) and in_q(key)
@@ -927,10 +869,10 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
 
     if in_i(N.ambient.zero()):
         raise ValueError("p cap q must be proper")
-    NI = MonomialQuotientAlgebra(N, R, in_i, "N/I", weight_fn=w)
-    NQ = MonomialQuotientAlgebra(N, R, in_q, "N/q", weight_fn=w)
-    NP = MonomialQuotientAlgebra(N, R, in_p, "N/p", weight_fn=w)
-    NL = MonomialQuotientAlgebra(N, R, in_l, "N/L", weight_fn=w)
+    NI = MonomialQuotientAlgebra(N, R, in_i, "N/I")
+    NQ = MonomialQuotientAlgebra(N, R, in_q, "N/q")
+    NP = MonomialQuotientAlgebra(N, R, in_p, "N/p")
+    NL = MonomialQuotientAlgebra(N, R, in_l, "N/L")
     corners = {
         "A1": Corner("R[N]/R[I]", algebra=NI),
         "A2": Corner("R[N]/R[q]", algebra=NQ),
@@ -958,7 +900,7 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
     Nprime = CancellativeMonoid(N.ambient, nprime_gens)
     nl_keys = NL.keys_upto(degree_bound)
     lhs = {k: NL.weight(k) for k in nl_keys}
-    wp = _shared_weight(Nprime)
+    wp = _default_weight(Nprime)
     rhs = {k: wp(k) for k in monoid_keys_by_weight(Nprime, None, degree_bound) if not in_q(k)}
     d = _first_difference(lhs, rhs, degree_bound)
     if d <= degree_bound:
@@ -975,24 +917,6 @@ def build_prime_intersection(N, p_gens, q_gens, R, degree_bound=10):
     return square
 
 
-def build_prime_intersection_from_radical(N, ideal_gens, R, degree_bound=10):
-    """MT-4 split of a radical ideal: I = p1 cap (p2 cap ... cap pr) with the
-    primes from its decomposition; needs at least two primes."""
-    dec = prime_decomposition(MonoidIdeal(N, ideal_gens), degree_bound)
-    if len(dec.primes) < 2:
-        raise ValueError(
-            "the radical ideal is prime: the intersection square needs two primes"
-        )
-    p = list(dec.primes[0][0].generators)
-    rest = dec.primes[1:]
-    # q = intersection of the remaining primes, as a generated ideal
-    def in_rest(key, witness):
-        return all(P.member(key).is_yes for P, _, _ in rest)
-
-    qgens = _predicate_ideal_generators(N, in_rest, degree_bound)
-    return build_prime_intersection(N, p, qgens, R, degree_bound)
-
-
 def torsion_group_monoid(n_list):
     amb = AbelianGroupShape(0, tuple(n_list))
     gens = [tuple(1 if i == j else 0 for i in range(len(n_list))) for j in range(len(n_list))]
@@ -1007,9 +931,9 @@ def _torsion_weights(S_prev, p, prev):
     gets the same two functions, kept in S_prev's cache: a rebuild, over
     any ring, reuses the lists of the first build.
     """
-    cache = S_prev._cache.setdefault("torsion_weights", {})
-    if (p, prev) in cache:
-        return cache[p, prev]
+    memo = S_prev._cache.setdefault("torsion_weights", {})
+    if (p, prev) in memo:
+        return memo[p, prev]
     wS = S_prev.degree if S_prev.generators else (lambda k: 0)
 
     def w_b1(key):
@@ -1021,7 +945,7 @@ def _torsion_weights(S_prev, p, prev):
     def w_a2(key):
         return wS(tuple(key[:p]) + tuple(key[p : p + len(prev)])) if S_prev.generators else 0
 
-    cache[p, prev] = w_a2, w_b1
+    memo[p, prev] = w_a2, w_b1
     return w_a2, w_b1
 
 

@@ -130,6 +130,21 @@ def test_square_command(tmp_path):
     assert out["results"]["reduced_iso"]["isomorphism"] is True
 
 
+def test_square_apply_with_a_negative_exponent(tmp_path):
+    """--apply parses exponent vectors with negative entries: the R[M]
+    corner of the positive-split square of <(1,0),(-1,0),(0,1)> holds the
+    key (-1,0), a unit, which the right leg keeps."""
+    units = {"ambient": {"rank": 2, "torsion": []}, "generators": [[1, 0], [-1, 0], [0, 1]]}
+    proc = run_cli(
+        ["square", "build", "positive-split", "u.json", "--ring", "F2",
+         "--apply", "right:x[-1,0]"],
+        {"u.json": units},
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["apply"]["image"] == "1*x[-1, 0]"
+
+
 def test_square_negative_degree_bound_is_a_usage_error(tmp_path):
     """A negative bound checks no truncation: it exits 2 instead of
     reporting a vacuous Cartesian square or isomorphism."""

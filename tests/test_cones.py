@@ -13,9 +13,9 @@ from monoidforge.cones import (
     face_locate,
     face_submonoid,
     interior_member,
-    interior_member_definitional,
     is_extremal,
 )
+from helpers import interior_member_definitional, pointed, vanishing_set
 
 Z = AbelianGroupShape(1)
 Z2 = AbelianGroupShape(2)
@@ -237,7 +237,7 @@ def test_face_locate_partition():
             f = face_locate(Mon, el)
             # the located face is the one cut out by exactly the facets
             # vanishing at the projection, and no other face has that set
-            vanish = cone.vanishing_set(cone.tq.project(el))
+            vanish = vanishing_set(cone, cone.tq.project(el))
             assert vanish == f.normal_indices, (gens, el)
             assert [g.index for g in faces if g.normal_indices == vanish] == [f.index]
 
@@ -301,14 +301,14 @@ def test_face_dims_match_rank_of():
         gens = [g for g in gens if any(g)]
         if gens:
             cones.append(gens)
-    pointed = 0
+    n_pointed = 0
     for gens in cones:
         Mon = M(AbelianGroupShape(len(gens[0])), gens)
         cone = RationalCone(Mon)
-        pointed += cone.pointed()
+        n_pointed += pointed(cone)
         for f in cone.faces():
             assert f.dim == rank_of([list(cone.bar_gens[j]) for j in f.gen_indices]), (
                 gens,
                 f,
             )
-    assert 50 < pointed < len(cones) - 50, pointed
+    assert 50 < n_pointed < len(cones) - 50, n_pointed

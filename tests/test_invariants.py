@@ -19,8 +19,8 @@ from monoidforge.squares import (
     build_positive_split,
     build_seminormal_step,
     quotient_map_apply,
-    verify_leg_surjective,
 )
+from helpers import vanishing_set, verify_leg_surjective
 
 Z1 = AbelianGroupShape(1)
 Z2 = AbelianGroupShape(2)
@@ -120,7 +120,7 @@ def _vanish(host, g):
     from monoidforge.cones import _cone_of
 
     cone = _cone_of(host)
-    return cone.vanishing_set(cone.tq.project(g))
+    return vanishing_set(cone, cone.tq.project(g))
 
 
 def _definitional_prime(I, bound):

@@ -1,18 +1,22 @@
 import random
+from itertools import product
 
 import pytest
 
 from monoidforge.rings import GF, QQ, ZZ, GaloisField, IntegerModRing, ring_from_name
 from monoidforge.lattice import AbelianGroupShape
-from monoidforge.monoid import CancellativeMonoid, PcMonoid, smash
+from monoidforge.monoid import CancellativeMonoid, PcMonoid, member, smash
 from monoidforge.algebra import (
     CancellativeAlgebra,
     HostMismatch,
+    MonoidAlgebraBase,
+    MonomialQuotientAlgebra,
     PcAlgebra,
     MonomialSubsetAlgebra,
     is_domain_verdict,
     is_invertible,
     is_reduced_verdict,
+    monoid_keys_by_weight,
     truncate,
     units_description,
 )
@@ -177,6 +181,16 @@ def test_parse_element_literal():
         parse_element_literal(A, "x[-1,0]")
     with pytest.raises(ValueError):
         parse_element_literal(A, "x[1,0]+oops")
+    # exponent vectors may hold negative entries; malformed terms still fail
+    L = CancellativeAlgebra(M(Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)]), QQ)
+    assert parse_element_literal(L, "x[-1,0]") == L.monomial((-1, 0))
+    assert parse_element_literal(L, "2*x[1,-1]-x[0,1]") == (
+        L.monomial((1, -1), 2) - L.monomial((0, 1))
+    )
+    assert parse_element_literal(L, "-x[-2,3]+1") == L.one() - L.monomial((-2, 3))
+    for bad in ("x[1", "x[1,,2]", "2**x[1]", "x[1,-]", "3["):
+        with pytest.raises(ValueError):
+            parse_element_literal(L, bad)
 
 
 def test_associativity_random():
@@ -191,3 +205,205 @@ def test_associativity_random():
         u, v, w = us
         assert (u * v) * w == u * (v * w)
         assert u * (v + w) == u * v + u * w
+
+
+# ---------------------------------------------------------------------------
+# the three monomial hosts as they were before they became one
+# MonomialQuotientAlgebra, kept word for word as oracles
+
+
+class ParentCancellativeAlgebra(MonoidAlgebraBase):
+    def __init__(self, M, ring, weight_fn=None):
+        self.M = M
+        self.ring = ring
+        self.name = f"M{list(M.generators)}"
+        self._custom = weight_fn
+        if weight_fn is not None:
+            self._weight = weight_fn
+        elif M.grading() is not None:
+            self._weight = M.degree
+        else:
+            self._weight = M.filtration_weight
+
+    def weight(self, key):
+        return self._weight(key)
+
+    def add_keys(self, a, b):
+        return self.M.ambient.add(a, b)
+
+    def zero_key(self):
+        return self.M.ambient.zero()
+
+    def keys_upto(self, bound):
+        return monoid_keys_by_weight(self.M, self._custom, bound)
+
+    def contains_key(self, key):
+        return member(self.M, key).is_yes
+
+
+class ParentPcAlgebra(MonoidAlgebraBase):
+    """R[N/I] = R[N]/R[I]; for proper nonempty I the collapsed class acts as
+    zero, and for I = N the quotient is the singleton monoid with algebra R."""
+
+    def __init__(self, Q, ring, weight_fn=None):
+        self.Q = Q
+        self.ring = ring
+        self.singleton = Q.is_singleton() if Q.has_collapse else False
+        self.name = f"M{list(Q.base.generators)}/I{list(Q.collapse_gens)}"
+        base = Q.base
+        self._custom = weight_fn
+        if weight_fn is not None:
+            self._weight = weight_fn
+        elif base.grading() is not None:
+            self._weight = base.degree
+        else:
+            self._weight = base.filtration_weight
+
+    def weight(self, key):
+        return 0 if self.singleton else self._weight(key)
+
+    def add_keys(self, a, b):
+        if self.singleton:
+            return self.Q.base.ambient.zero()
+        s = self.Q.base.ambient.add(a, b)
+        if self.Q.has_collapse and self.Q.collapsed(s):
+            return None
+        return s
+
+    def zero_key(self):
+        return self.Q.base.ambient.zero()
+
+    def keys_upto(self, bound):
+        if self.singleton:
+            return [self.zero_key()]
+        keys = monoid_keys_by_weight(self.Q.base, self._custom, bound)
+        return sorted(k for k in keys if not (self.Q.has_collapse and self.Q.collapsed(k)))
+
+    def contains_key(self, key):
+        if self.singleton:
+            return key == self.zero_key()
+        return self.Q.member(key).is_yes
+
+
+class ParentMonomialQuotientAlgebra(MonoidAlgebraBase):
+    """R[M]/(monomial ideal given by a kill predicate): keys are the
+    surviving monomials, products falling into the ideal die."""
+
+    def __init__(self, M, ring, kill_pred, name, weight_fn=None):
+        self.M = M
+        self.ring = ring
+        self._kill = kill_pred
+        self.name = name
+        self._custom = weight_fn
+        if weight_fn is not None:
+            self._weight = weight_fn
+        elif M.grading() is not None:
+            self._weight = M.degree
+        else:
+            self._weight = M.filtration_weight
+
+    def weight(self, key):
+        return self._weight(key)
+
+    def add_keys(self, a, b):
+        s = self.M.ambient.add(a, b)
+        return None if self._kill(s) else s
+
+    def zero_key(self):
+        return self.M.ambient.zero()
+
+    def keys_upto(self, bound):
+        keys = monoid_keys_by_weight(self.M, self._custom, bound)
+        return [k for k in keys if not self._kill(k)]
+
+    def contains_key(self, key):
+        return member(self.M, key).is_yes and not self._kill(key)
+
+
+def _oracle_cases():
+    """(oracle, merged) host pairs on seeded monoids: positive ones, ones
+    with units and ones with torsion; PcMonoid quotients by an empty ideal,
+    a proper ideal and I = N; with and without a custom weight; over F2
+    and Q."""
+    rng = random.Random(1709)
+    Z2T = AbelianGroupShape(1, (2,))
+    monoids = [
+        M(Z2, [(1, 0), (0, 1)]),
+        M(Z, [(2,), (3,)]),
+        M(Z2, [(1, 0), (1, 1), (1, 2)]),
+        M(Z2, [(1, 0), (-1, 0), (0, 1)]),
+        M(Z, [(1,), (-1,)]),
+        M(Z2T, [(1, 0), (1, 1)]),
+        M(Z2T, [(1, 0), (0, 1)]),
+    ]
+    while len(monoids) < 11:
+        gens = sorted({(rng.randint(-1, 2), rng.randint(0, 2)) for _ in range(3)} - {(0, 0)})
+        if gens:
+            monoids.append(M(Z2, gens))
+    out = []
+    for i, N in enumerate(monoids):
+        R = (GF(2), QQ)[i % 2]
+        r = N.ambient.free_rank
+        custom = lambda k, r=r: sum((j + 2) * abs(x) for j, x in enumerate(k[:r]))
+        zero = N.ambient.zero()
+        big = N.ambient.add(N.generators[0], N.generators[-1])
+        kill = lambda k, big=big, N=N: member(N, N.ambient.sub(k, big)).is_yes
+        for w in (None, custom):
+            out.append((ParentCancellativeAlgebra(N, R, w), CancellativeAlgebra(N, R, w)))
+            out.append((
+                ParentMonomialQuotientAlgebra(N, R, kill, "N/big", w),
+                MonomialQuotientAlgebra(N, R, kill, "N/big", w),
+            ))
+            for ideal in ([], [big], [zero]):
+                Q = PcMonoid(N, ideal)
+                out.append((ParentPcAlgebra(Q, R, w), PcAlgebra(Q, R, w)))
+    return out
+
+
+def _box(amb, radius=3):
+    ranges = [range(-radius, radius + 1)] * amb.free_rank + [range(n) for n in amb.torsion]
+    return list(product(*ranges))
+
+
+def test_merged_hosts_match_the_parent_hosts():
+    kinds = set()
+    for old, new in _oracle_cases():
+        assert new.name == old.name and new.zero_key() == old.zero_key()
+        for d in range(9):
+            keys = new.keys_upto(d)
+            assert keys == old.keys_upto(d), (old, d)
+            assert [new.weight(k) for k in keys] == [old.weight(k) for k in keys], (old, d)
+        keys = keys[:24]
+        for a in keys:
+            for b in keys:
+                assert new.add_keys(a, b) == old.add_keys(a, b), (old, a, b)
+        host = new.M
+        for k in keys + _box(host.ambient):
+            assert new.contains_key(k) == old.contains_key(k), (old, k)
+        if isinstance(old, ParentPcAlgebra) and old.singleton:
+            # the one intended difference: a negative bound lists nothing,
+            # as for every other host
+            assert old.keys_upto(-1) == [old.zero_key()]
+            assert new.keys_upto(-1) == []
+            kinds.add("singleton")
+        else:
+            assert new.keys_upto(-1) == old.keys_upto(-1) == []
+        kinds.add(("positive" if host.grading() is not None else "units", host.ambient.torsion != ()))
+        kinds.add(("custom" if new._custom else "default", new.ring.kind))
+    assert {("positive", False), ("positive", True), ("units", False), ("units", True)} <= kinds
+    assert {("custom", "F2"), ("custom", "Q"), ("default", "F2"), ("default", "Q"), "singleton"} <= kinds
+
+
+def test_negative_power_raises():
+    A = CancellativeAlgebra(M(Z, [(1,)]), QQ)
+    u = A.one() + A.monomial((1,))
+    assert u ** 0 == A.one() and u ** 2 == u * u
+    with pytest.raises(ValueError):
+        u ** -1
+
+
+def test_truncate_on_a_quotient_host():
+    N = M(Z2, [(1, 0), (0, 1)])
+    A = MonomialQuotientAlgebra(N, GF(2), lambda k: k[0] >= 2, "N/x^2")
+    u = A.one() + A.monomial((1, 3))
+    assert truncate(u, 2) == A.one()

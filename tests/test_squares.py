@@ -14,8 +14,11 @@ from monoidforge.squares import (
     build_torsion_splitting,
     corrupt_square,
     verify_cartesian,
-    verify_leg_surjective,
     verify_reduced_iso,
+)
+from helpers import (
+    build_prime_intersection_from_radical,
+    verify_leg_surjective,
     verify_split_section,
 )
 
@@ -136,8 +139,6 @@ def test_prime_intersection_square():
 
 
 def test_prime_intersection_from_radical():
-    from monoidforge.squares import build_prime_intersection_from_radical
-
     sq = build_prime_intersection_from_radical(Z2P, [(1, 1)], GF(2))
     assert verify_cartesian(sq, degree_bound=6).ok
     # a monoid with a unique proper prime cannot split
