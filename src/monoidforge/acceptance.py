@@ -13,11 +13,12 @@ from itertools import product
 from .rings import GF
 from .lattice import AbelianGroupShape, Record, nonneg_rational_feasible, rank_of
 from .monoid import CancellativeMonoid, is_positive, is_torsion_free, member, smash
-from .cones import face_lattice, interior_member
+from .cones import face_lattice
 from .closure import (
+    _face_pieces,
+    _in_piece,
     is_seminormal,
     normalize,
-    normalize_in_gp,
     seminormalize,
 )
 from .ideals import MonoidIdeal, ideal_filtration, prime_decomposition, radical
@@ -207,28 +208,6 @@ def criterion_4():
     return f"200 intermediate-monoid pairs verified in {time.perf_counter() - t0:.1f}s"
 
 
-def _face_pieces(m):
-    """Per-face normalized submonoids Int(n(Mbar cap F)), computed once."""
-    from .cones import bar_face_submonoid
-
-    return [
-        (f, normalize_in_gp(bar_face_submonoid(m, f)).monoid)
-        for f in face_lattice(m)
-    ]
-
-
-def _piece_membership_count(m, pieces, tq, x):
-    v = tq.project(x)
-    hits = 0
-    for f, nNF in pieces:
-        if not nNF.generators:
-            hits += 0 if any(v) else 1
-            continue
-        if member(nNF, v).is_yes and interior_member(nNF, v):
-            hits += 1
-    return hits
-
-
 def criterion_5():
     rng = random.Random(505)
     done = 0
@@ -248,7 +227,8 @@ def criterion_5():
         pieces = _face_pieces(m)
         tq = m.torsion_quotient()
         for x in sorted(m.slice(bound)):
-            hits = _piece_membership_count(m, pieces, tq, x)
+            v = tq.project(x)
+            hits = sum(_in_piece(nNF, v) for _, nNF in pieces)
             assert hits == 1, (m, x, hits)
         done += 1
     return "50 seminormal monoids: every bounded element lies in exactly one piece"

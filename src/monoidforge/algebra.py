@@ -332,7 +332,9 @@ class AlgebraElement:
 def parse_element_literal(algebra, text):
     """Parse 'c1*x[a1]+c2*x[a2]' with exponent vectors, e.g.
     '2*x[1,0]+x[0,3]' or '1' or 'x[2]' or '-x[-1,0]'.  Coefficients are
-    integers mapped into the ring; missing coefficients default to 1."""
+    integers mapped into the ring; missing coefficients default to 1.  A
+    literal whose terms do not cover its whole text, such as '1+', '--1'
+    or '1++x[1]', raises ValueError."""
     import re
 
     pairs = []
@@ -342,6 +344,8 @@ def parse_element_literal(algebra, text):
     # split on + and - outside brackets while keeping signs, so that an
     # exponent vector may hold negative entries
     tokens = re.findall(r"[+-]?(?:\[[^\]]*\]|[^+-])+", text)
+    if "".join(tokens) != text:
+        raise ValueError(f"sign without a term in element literal {text!r}")
     for tok in tokens:
         m = re.fullmatch(r"([+-]?\d*)\*?(?:x\[(-?\d+(?:,-?\d+)*)\])?", tok)
         if not m or (not m.group(1) and not m.group(2)):

@@ -340,6 +340,12 @@ def seminormalize(M):
     """sn(M): least intermediate monoid closed under adjoining a with
     2a, 3a already present; fixpoint iteration over the candidate pool.
 
+    Each pass tests the candidates in pool order against the current stage
+    and adjoins every one whose 2a and 3a lie in it; the fixpoint stops
+    after a pass that adjoins nothing, so no pass runs twice.  Stages only
+    grow, so a candidate is tested until it lies in a stage and then
+    dropped.  The first adjunction is tested on M itself.
+
     Raises for monoids that are neither positive nor already normal (the
     fixpoint pool is grading-bounded).
     """
@@ -356,38 +362,30 @@ def seminormalize(M):
             "seminormalization implemented for positive monoids "
             "(non-positive inputs are supported only when already normal)"
         )
+    amb = M.ambient
     pool = _sn_candidate_pool(M)
     current = M
     added, certs = [], {}
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        rest, before = [], len(added)
         for a in pool:
             if member(current, a).is_yes:
                 continue
-            amb = M.ambient
             r2 = member(current, amb.scale(2, a))
-            r3 = member(current, amb.scale(3, a))
-            if r2.is_yes and r3.is_yes:
-                certs[a] = {
-                    "double_witness": list(r2.witness),
-                    "triple_witness": list(r3.witness),
-                    "stage_generators": [list(g) for g in current.generators],
-                }
-                added.append(a)
-                current = CancellativeMonoid(amb, list(current.generators) + [a])
-                changed = True
-    # safety net: no pool candidate remains adjoinable.  It reads only
-    # membership, so it runs on the last stage, whose caches are warm; the
-    # minimalized monoid is the same set.
-    for a in pool:
-        if not member(current, a).is_yes:
-            amb = M.ambient
-            if member(current, amb.scale(2, a)).is_yes and member(current, amb.scale(3, a)).is_yes:
-                raise RuntimeError(
-                    f"seminormalization candidate pool too small: {a} is still "
-                    "adjoinable after the fixpoint"
-                )
+            r3 = member(current, amb.scale(3, a)) if r2.is_yes else r2
+            if not r3.is_yes:
+                rest.append(a)
+                continue
+            certs[a] = {
+                "double_witness": list(r2.witness),
+                "triple_witness": list(r3.witness),
+                "stage_generators": [list(g) for g in current.generators],
+            }
+            added.append(a)
+            current = CancellativeMonoid(amb, list(current.generators) + [a])
+        if len(added) == before:
+            break
+        pool = rest
     final = minimalize(current)
     res = ClosureResult(final, sorted(added), certs, "seminormalization")
     M._cache["seminormalize"] = res
@@ -399,17 +397,10 @@ def is_seminormal(M):
 
 
 def find_subintegral_element(M):
-    """Some a in gp(M) \\ M with 2a, 3a in M, or None when M is seminormal."""
-    if is_seminormal(M):
-        return None
-    for a in _sn_candidate_pool(M):
-        if member(M, a).is_yes:
-            continue
-        if member(M, M.ambient.scale(2, a)).is_yes and member(
-            M, M.ambient.scale(3, a)
-        ).is_yes:
-            return a
-    return None
+    """Some a in gp(M) \\ M with 2a, 3a in M, or None when M is seminormal:
+    the first element that seminormalize adjoins, which it tests on M
+    itself (the CLI's `square build seminormal-step` without --element)."""
+    return next(iter(seminormalize(M).certificates), None)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +446,9 @@ def sn_face_structure(M, slice_bound=None):
         slice_bound = 2 * max((S.degree(g) for g in S.generators), default=1) + 2
 
     # per-face normalizations (in Mbar coordinates) and their interior slices
+    pieces = _face_pieces(M)
     piece = {}
-    for f in faces:
-        NF = bar_face_submonoid(M, f)
-        nNF = normalize_in_gp(NF).monoid
+    for f, nNF in pieces:
         if not nNF.generators:
             piece[f.index] = (nNF, [nNF.ambient.zero()])
             continue
@@ -502,10 +492,11 @@ def sn_face_structure(M, slice_bound=None):
     # union equality on the bounded slice, both inclusions
     sslice = sorted(S.slice(slice_bound))
     for x in sslice:
-        f = _locate_by_piece(M, tq, piece, faces, x)
+        v = tq.project(x)
+        f = next((f for f, nNF in pieces if _in_piece(nNF, v)), None)
         if f is None:
             raise RuntimeError(f"sn element {x} lies in no face piece (pool too small?)")
-        tpart = amb.sub(x, tq.section(tq.project(x)))
+        tpart = amb.sub(x, tq.section(v))
         if tpart not in set(subgroups[f.index]):
             raise RuntimeError(f"torsion part of {x} escapes T_F on face {f.index}")
     for f in faces:
@@ -522,14 +513,14 @@ def sn_face_structure(M, slice_bound=None):
     return SnFaceStructure(M, S, faces, subgroups, slice_bound, report)
 
 
-def _locate_by_piece(M, tq, piece, faces, x):
-    v = tq.project(x)
-    for f in faces:
-        nNF, _ = piece[f.index]
-        if not nNF.generators:
-            if not any(v):
-                return f
-            continue
-        if member(nNF, v).is_yes and interior_member(nNF, v):
-            return f
-    return None
+def _face_pieces(M):
+    """(face, n(Mbar cap F)) for every face of M, in face-lattice order: the
+    pieces Int(n(Mbar cap F)) of the face decomposition."""
+    return [(f, normalize_in_gp(bar_face_submonoid(M, f)).monoid) for f in face_lattice(M)]
+
+
+def _in_piece(nNF, v):
+    """Whether v (in Mbar coordinates) lies in the piece Int(nNF)."""
+    if not nNF.generators:
+        return not any(v)
+    return member(nNF, v).is_yes and interior_member(nNF, v)

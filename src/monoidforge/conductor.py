@@ -19,9 +19,9 @@ corners.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
-from .rings import GF, factorize
+from .rings import GF, _power, factorize
 from .algebra import field_solve
 from .lattice import Record, diagonal_of, mat_mul, smith_normal_form, solve_smith
 
@@ -259,7 +259,7 @@ def abelian_structure(elements, mul, one):
         invs.append(d)
     # largest-first above; report the ascending divisor chain
     invs = tuple(sorted(d for d in invs if d > 1))
-    assert _product(invs) == n, (invs, n)
+    assert prod(invs) == n, (invs, n)
     for a, b in zip(invs, invs[1:]):
         assert b % a == 0
     gens = []
@@ -280,25 +280,6 @@ def abelian_structure(elements, mul, one):
             break
     assert len(closure) == n
     return AbelianGroupData(n, invs, gens)
-
-
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _power(mul, one, x, n):
-    """x^n for n >= 0 by square-and-multiply."""
-    out = one
-    while n:
-        if n & 1:
-            out = mul(out, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
-    return out
 
 
 def _has_order(n, trivial):
@@ -430,7 +411,7 @@ def unit_group(ring_data):
     one = ring.one()
     pres = OneUnitPresentation(ring)
     factors, _ = pres.quotient()
-    assert _product(d for d, _ in factors) == pres.order
+    assert prod(d for d, _ in factors) == pres.order
     zeta = list(one)
     zeta[0] = _primitive_element(F)
     zeta = tuple(zeta)
@@ -541,7 +522,7 @@ def picard_by_patching(S, q):
 
     image = [pres.dlog(embed(g)) for _, _, g in _one_unit_generators(am)]
     factors, snf = pres.quotient(image)
-    order = _product(d for d, _ in factors)
+    order = prod(d for d, _ in factors)
     assert order * q ** (len(am.exponents) - 1) == pres.order
 
     def in_image(x):

@@ -553,12 +553,17 @@ def facet_normals(vectors, dim):
 # rational feasibility (Fourier-Motzkin)
 
 
-def nonneg_rational_feasible(generators, target, max_constraints=4000):
+FM_MAX_CONSTRAINTS = 4000
+
+
+def nonneg_rational_feasible(generators, target):
     """Whether sum c_i g_i = target admits a rational solution with all c_i >= 0.
 
     Only the free coordinates of the ambient are constrained (a valid
-    relaxation when torsion rows are dropped by the caller).  Returns True,
-    False, or None when the elimination exceeds max_constraints.
+    relaxation when torsion rows are dropped by the caller).  Returns True
+    or False; an elimination that holds more than FM_MAX_CONSTRAINTS
+    constraints after some step raises ValueError, so an inconclusive
+    search is never read as "no".
     """
     s = len(generators)
     if s == 0:
@@ -604,8 +609,10 @@ def nonneg_rational_feasible(generators, target, max_constraints=4000):
                 seen[key] = (len(pruned), c)
                 pruned.append((coeffs, c))
         cons = pruned
-        if len(cons) > max_constraints:
-            return None
+        if len(cons) > FM_MAX_CONSTRAINTS:
+            raise ValueError(
+                f"Fourier-Motzkin elimination exceeds {FM_MAX_CONSTRAINTS} constraints"
+            )
     return all(c >= 0 for _, c in cons)
 
 

@@ -24,17 +24,6 @@ CONWAY = {
 }
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factorize(n):
     """Prime factorization of n >= 1 as a dict prime -> exponent."""
     out = {}
@@ -46,6 +35,22 @@ def factorize(n):
         d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _is_prime(n):
+    return factorize(n) == {n: 1}
+
+
+def _power(mul, one, x, n):
+    """x^n for n >= 0 by square-and-multiply."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
     return out
 
 
@@ -332,16 +337,7 @@ class GaloisField(Ring):
     def inv(self, a):
         if a == self.zero():
             raise ZeroDivisionError("zero in a field")
-        # a^(q-2) by square-and-multiply
-        out = self.one()
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(self.mul, self.one(), a, self.q - 2)
 
     def elements(self):
         if self.k == 1:

@@ -162,11 +162,12 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     is linearly dependent, raises ValueError, and so does a negative
     degree bound.
 
-    Each monomial corner is asked for its keys up to the bound once, before
-    the walk.  Its monoid keeps that one key list with the level of each
-    key (algebra.monoid_keys_by_weight), so every truncation, of the
-    monomial corners and of the span corners built on the same algebras,
-    is read off it by level instead of searching the monoid again.  Fiber
+    Each corner's algebra, a span corner's through its ambient, is asked
+    for its keys up to the bound once, before the walk.  Its monoid keeps
+    that one key list with the level of each key
+    (algebra.monoid_keys_by_weight), so every truncation, of the monomial
+    corners and of the span corners built on those algebras, is read off
+    it by level instead of searching the monoid again.  Fiber
     elements are enumerated with the lift and its two wanted images kept as
     running sums, which change by one relation's images per changed
     coefficient; every lift is still mapped by top and left and compared
@@ -176,8 +177,7 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     R = square.ring
     walk = _CartesianWalk(square, elementwise_budget)
     for T in walk.corners:
-        if T.corner.monomial:
-            T.corner.algebra.keys_upto(degree_bound)
+        T.corner.ambient.keys_upto(degree_bound)
     per_degree = []
     for d in range(degree_bound + 1):
         entry, failure = walk.step(d)
@@ -936,14 +936,11 @@ def _torsion_weights(S_prev, p, prev):
         return memo[p, prev]
     wS = S_prev.degree if S_prev.generators else (lambda k: 0)
 
-    def w_b1(key):
-        l_part = key[:p]
-        t_part = key[p]
-        g_part = key[p + 1 :]
-        return t_part + (wS(tuple(l_part) + tuple(g_part)) if S_prev.generators else 0)
+    def w_b1(key):  # t-exponent plus the degree of the S_prev part
+        return key[p] + wS(key[:p] + key[p + 1 :])
 
-    def w_a2(key):
-        return wS(tuple(key[:p]) + tuple(key[p : p + len(prev)])) if S_prev.generators else 0
+    def w_a2(key):  # the degree of the S_prev part
+        return wS(key[: p + len(prev)])
 
     memo[p, prev] = w_a2, w_b1
     return w_a2, w_b1
@@ -962,50 +959,38 @@ def build_torsion_splitting(L, n_list, R):
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
-    if units_submonoid(L) or L.ambient.torsion or not is_normal(L):
-        if units_submonoid(L):
-            raise ValueError("L must be positive")
-        if L.ambient.torsion:
-            raise ValueError("L must live in a torsion-free ambient")
+    if units_submonoid(L):
+        raise ValueError("L must be positive")
+    if L.ambient.torsion:
+        raise ValueError("L must live in a torsion-free ambient")
+    if not is_normal(L):
         raise ValueError("L must be normal")
     n = n_list[-1]
     prev = tuple(n_list[:-1])
     p = L.ambient.free_rank
     S_prev = smash(L, torsion_group_monoid(prev)) if prev else L
     # coordinate layouts ------------------------------------------------
-    #   A2/B2: Z^p  x prod_{i<m} Z/n_i x Z/n_m   (B2 = full product monoid)
+    #   A2/B2: Z^p  x prod_{i<m} Z/n_i x Z/n_m   (A2 = L smash the product)
     #   B1:    Z^p x Z(t)  x prod_{i<m} Z/n_i
-    amb_a2 = AbelianGroupShape(p, prev + (n,))
+    A2mon = smash(L, torsion_group_monoid(tuple(n_list)))
     amb_b1 = AbelianGroupShape(p + 1, prev)
-    amb_b2 = amb_a2
-
-    full = smash(L, torsion_group_monoid(tuple(n_list)))
-
-    A2mon = CancellativeMonoid(amb_a2, [g for g in full.generators])
     sprev_gens = list(S_prev.generators)  # tuples: free p + torsion prev
     b1_gens = [tuple(g[:p]) + (0,) + tuple(g[p:]) for g in sprev_gens]
     b1_gens.append(tuple([0] * p) + (1,) + (0,) * len(prev))
     B1mon = CancellativeMonoid(amb_b1, b1_gens)
     b2_gens = [tuple(g[:p]) + tuple(g[p:]) + (0,) for g in sprev_gens]
     b2_gens.append(tuple([0] * p) + (0,) * len(prev) + (1,))
-    B2mon = CancellativeMonoid(amb_b2, b2_gens)
+    B2mon = CancellativeMonoid(A2mon.ambient, b2_gens)
 
     w_a2, w_b1 = _torsion_weights(S_prev, p, prev)
     A2alg = CancellativeAlgebra(A2mon, R, weight_fn=w_a2)
     B1alg = CancellativeAlgebra(B1mon, R, weight_fn=w_b1)
     B2alg = CancellativeAlgebra(B2mon, R, weight_fn=w_a2)
 
-    def rho_key(key):  # A2 -> B2: identity on coordinates
-        return key
+    def pi_key(key):  # B1 -> A2, B2: t-exponent reduced mod n into the last slot
+        return key[:p] + key[p + 1 :] + (key[p] % n,)
 
-    def pi_key(key):  # B1 -> B2: t-exponent reduced mod n into the last slot
-        l = key[:p]
-        t = key[p]
-        g = key[p + 1 :]
-        return tuple(l) + tuple(g) + (t % n,)
-
-    rho = make_key_map(B2alg, rho_key)
-    pi = make_key_map(B2alg, pi_key)
+    lambda_to_a2 = make_key_map(A2alg, pi_key)
 
     def j_monomials(d):  # monomials with nonzero L part, in B1 coords
         return [B1alg._listed_monomial(key) for key in B1alg.keys_upto(d) if any(key[:p])]
@@ -1027,21 +1012,13 @@ def build_torsion_splitting(L, n_list, R):
         return j_monomials(d) + b_basis(d)
 
     def top_fn(elem):  # Lambda -> A2: sum the t-exponents by residue class
-        out = {}
-        for key, c in elem.coeffs.items():
-            l, t, g = key[:p], key[p], key[p + 1 :]
-            tgt = tuple(l) + tuple(g) + (t % n,)
-            out[tgt] = R.add(out[tgt], c) if tgt in out else c
-        cleaned = {}
-        for key, c in out.items():
-            if R.is_zero(c):
-                continue
+        out = lambda_to_a2(elem)
+        for key in out.coeffs:
             # pure-t mass in a nonzero residue class cannot survive for
             # elements of Lambda; surviving mass flags a non-member
             if not any(key[:p]) and any(key[p:]):
                 raise AssertionError(f"element leaves Lambda: class {key} survives")
-            cleaned[key] = c
-        return AlgebraElement(A2alg, cleaned)
+        return out
 
     LambdaC = Corner("Lambda", ambient=B1alg, basis_fn=lambda_basis)
     square1 = MilnorSquare(
@@ -1055,8 +1032,8 @@ def build_torsion_splitting(L, n_list, R):
         {
             "top": top_fn,
             "left": lambda e: e,
-            "right": rho,
-            "bottom": pi,
+            "right": make_key_map(B2alg, lambda k: k),
+            "bottom": make_key_map(B2alg, pi_key),
         },
         ("bottom",),
         R,
@@ -1067,25 +1044,8 @@ def build_torsion_splitting(L, n_list, R):
     def a_basis(d):
         return [B1alg.one()] + j_monomials(d)
 
-    def kill_j(elem):  # Lambda -> B: drop monomials with nonzero L part
-        out = {k: c for k, c in elem.coeffs.items() if not any(k[:p])}
-        return AlgebraElement(B1alg, out)
-
     Ralg = _trivial_algebra(R)
-    zero0 = Ralg.zero_key()
-
-    def a_to_r(elem):
-        c = elem.coeffs.get(B1alg.zero_key())
-        if c is None:
-            return Ralg.zero()
-        return Ralg.elem([(zero0, c)])
-
-    def r_to_b(elem):
-        c = elem.coeffs.get(zero0)
-        if c is None:
-            return B1alg.zero()
-        return B1alg.elem([(B1alg.zero_key(), c)])
-
+    zero0, zero_b1 = Ralg.zero_key(), B1alg.zero_key()
     square2 = MilnorSquare(
         "torsion-splitting-2",
         {
@@ -1096,9 +1056,10 @@ def build_torsion_splitting(L, n_list, R):
         },
         {
             "top": lambda e: e,
-            "left": a_to_r,
-            "right": kill_j,
-            "bottom": r_to_b,
+            "left": make_key_map(Ralg, lambda k: zero0 if k == zero_b1 else None),
+            # Lambda -> B: drop monomials with nonzero L part
+            "right": make_key_map(B1alg, lambda k: None if any(k[:p]) else k),
+            "bottom": make_key_map(B1alg, lambda k: zero_b1),
         },
         ("right",),
         R,

@@ -855,6 +855,8 @@ if which == "seminormal-step":
     sq, bound = squares.build_seminormal_step(M(Z1, [(2,), (3,)]), (1,), GF(2)), 10
 elif which == "torsion-splitting-1":
     sq, bound = squares.build_torsion_splitting(M(Z1, [(1,)]), [2], GF(2))[0], 10
+elif which == "torsion-splitting-2":
+    sq, bound = squares.build_torsion_splitting(M(Z1, [(1,)]), [2], GF(2))[1], 10
 elif which == "face-filtration":
     sq, bound = squares.build_face_filtration(M(Z2, [(1, 0), (0, 1)]), 2, GF(2))[0], 10
 else:
@@ -884,6 +886,7 @@ print(json.dumps({"ok": ok, **counts}))
 @pytest.mark.parametrize("kind, searches, scans", [
     ("seminormal-step", 2, 0),
     ("torsion-splitting-1", 2, 0),
+    ("torsion-splitting-2", 2, 0),
     ("face-filtration", 1, 0),
     ("positive-split", 7, 1),
 ])
@@ -894,6 +897,8 @@ def test_slice_searches_of_one_verification_in_a_fresh_process(kind, searches, s
     seminormal step searches <2,3> and <1,2,3> (at degree 10 each instead of
     at every degree: 18 searches before), the first torsion-splitting square
     its two monomial corners (20 before, the span corner reads the B1 list),
+    the second one the B1 algebra under its span corners and the trivial
+    monoid of R (12 before, when only monomial corners were prefetched),
     the face filtration only the trivial monoid of R (its two monoid corners
     read the list its kernel certificate built: 11 before), and the positive
     split of <(1,0),(-1,0),(0,1)> scans its box once (14 before); its seven

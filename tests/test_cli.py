@@ -145,6 +145,18 @@ def test_square_apply_with_a_negative_exponent(tmp_path):
     assert json.loads(proc.stdout)["results"]["apply"]["image"] == "1*x[-1, 0]"
 
 
+def test_square_apply_with_a_dangling_sign_is_a_usage_error(tmp_path):
+    """An --apply literal with a sign that no term follows exits 2."""
+    proc = run_cli(
+        ["square", "build", "seminormal-step", "cusp.json", "--element", "1",
+         "--ring", "F5", "--apply", "top:1+"],
+        {"cusp.json": CUSP},
+        tmp_path,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert "sign without a term" in proc.stderr
+
+
 def test_square_negative_degree_bound_is_a_usage_error(tmp_path):
     """A negative bound checks no truncation: it exits 2 instead of
     reporting a vacuous Cartesian square or isomorphism."""

@@ -581,6 +581,18 @@ def test_rational_feasibility():
     assert nonneg_rational_feasible([(1, 1), (1, -1)], [0, 5]) is False
 
 
+def test_rational_feasibility_past_the_constraint_cap_raises(monkeypatch):
+    """An elimination that outgrows the cap is inconclusive: it raises
+    instead of returning a value a caller could read as "no"."""
+    import monoidforge.lattice as lattice
+
+    gens, target = [(1, 0), (0, 1), (1, 1), (1, 2)], [3, 4]
+    assert nonneg_rational_feasible(gens, target) is True
+    monkeypatch.setattr(lattice, "FM_MAX_CONSTRAINTS", 3)
+    with pytest.raises(ValueError, match="exceeds 3 constraints"):
+        nonneg_rational_feasible(gens, target)
+
+
 def oracle_solve_smith(snf, b):
     """solve_smith as it stood with two dense matrix-vector products."""
     mat_vec = lambda a, v: [sum(c * x for c, x in zip(row, v)) for row in a]

@@ -193,6 +193,19 @@ def test_parse_element_literal():
             parse_element_literal(L, bad)
 
 
+def test_parse_element_literal_rejects_a_sign_without_a_term():
+    """Over F5 these read as 1, 4, 4 and 1 + x while a sign that no term
+    follows was dropped; a literal whose terms do not cover its whole text
+    is rejected."""
+    from monoidforge.algebra import parse_element_literal
+
+    A = CancellativeAlgebra(M(Z, [(1,)]), GF(5))
+    for bad in ("1+", "--1", "+-1", "1++x[1]"):
+        with pytest.raises(ValueError, match="sign without a term"):
+            parse_element_literal(A, bad)
+    assert parse_element_literal(A, "+1-x[1]") == A.one() - A.monomial((1,))
+
+
 def test_associativity_random():
     rng = random.Random(8)
     A = CancellativeAlgebra(M(Z2, [(1, 0), (0, 1), (1, 1)]), GF(3))
