@@ -88,17 +88,6 @@ def monoid_from_json(data):
     return base
 
 
-def monoid_to_json(m):
-    if isinstance(m, PcMonoid):
-        out = monoid_to_json(m.base)
-        out["collapse"] = {"generators": sorted(list(g) for g in m.collapse_gens)}
-        return out
-    return {
-        "ambient": {"rank": m.ambient.free_rank, "torsion": list(m.ambient.torsion)},
-        "generators": sorted(list(g) for g in m.generators),
-    }
-
-
 def parse_vector(text):
     try:
         return tuple(int(x) for x in text.split(","))

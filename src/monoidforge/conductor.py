@@ -33,35 +33,22 @@ class NumericalSemigroup:
         gens = sorted(set(int(g) for g in generators))
         if not gens or any(g <= 0 for g in gens):
             raise ValueError("generators must be positive integers")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
+        g = gcd(*gens)
         if g != 1:
             raise ValueError(f"generators must be coprime (gcd = {g})")
         self.generators = tuple(gens)
         a = gens[0]
-        reachable = {0}
+        reachable = [True]  # reachable[n]: n is a sum of generators
         bound = a
         # grow until a full window of length min(gens) is reachable
         while True:
-            changed = True
-            while changed:
-                changed = False
-                for x in sorted(reachable):
-                    for g in gens:
-                        y = x + g
-                        if y <= bound and y not in reachable:
-                            reachable.add(y)
-                            changed = True
-            start = None
-            for c in range(0, bound - a + 2):
-                if all((c + i) in reachable for i in range(a)):
-                    start = c
-                    break
+            for n in range(len(reachable), bound + 1):
+                reachable.append(any(reachable[n - g] for g in gens if g <= n))
+            start = next((c for c in range(bound - a + 2) if all(reachable[c : c + a])), None)
             if start is not None:
                 break
             bound *= 2
-        self.gaps = tuple(n for n in range(start) if n not in reachable)
+        self.gaps = tuple(n for n in range(start) if not reachable[n])
         self.frobenius = max(self.gaps) if self.gaps else -1
         self.conductor = self.frobenius + 1
         self._members = reachable
@@ -71,7 +58,7 @@ class NumericalSemigroup:
             return False
         if n >= self.conductor:
             return True
-        return n in self._members
+        return self._members[n]
 
     def __repr__(self):
         return f"NumericalSemigroup{self.generators}"
@@ -99,9 +86,6 @@ class FiniteRingData:
         F = self.field
         for coeffs in product(F.elements(), repeat=len(self.exponents)):
             yield coeffs
-
-    def size(self):
-        return self.field.q ** len(self.exponents)
 
     def zero(self):
         return (self.field.zero(),) * len(self.exponents)

@@ -1,80 +1,20 @@
-"""Monoid ideals: exact membership, primes, radicals, prime decomposition of
-radical ideals, and the face filtration of positive seminormal monoids.
+"""Monoid ideals: primes, radicals, prime decomposition of radical ideals,
+and the face filtration of positive seminormal monoids.  The ideals
+themselves are monoid.MonoidIdeal, with its exact membership, which the
+quotients N/I and I_* hold as well.
 
 Every derived ideal is certified on an explicit bounded slice; certification
 failures raise, naming the offending element, rather than returning silently.
 """
 
 from .lattice import Record
-from .monoid import (
-    Membership,
-    PcMonoid,
-    ideal_contains,
-    member,
-    units_submonoid,
-    validate_ideal,
-)
+from .monoid import Membership, MonoidIdeal, PcMonoid, member, units_submonoid
 from .cones import _cone_of, face_lattice, face_locate, face_submonoid
 from .closure import is_seminormal
 
 
 class CertificationError(RuntimeError):
     """A bounded certificate could not be established."""
-
-
-class MonoidIdeal:
-    """Finitely generated ideal of a cancellative or pc monoid.
-
-    pc-hosted ideals are represented by their pullback to the base monoid
-    (generators plus the collapse generators), which restores exactness.
-    """
-
-    def __init__(self, host, generators):
-        if isinstance(host, PcMonoid):
-            self.pc_host = host
-            base = host.base
-            gens = list(generators) + list(host.collapse_gens)
-        else:
-            self.pc_host = None
-            base = host
-            gens = list(generators)
-        validate_ideal(base, gens)
-        self.host = base
-        self.generators = tuple(sorted({base.ambient.reduce(g) for g in gens}))
-
-    def member(self, x):
-        return ideal_contains(self.host, self.generators, x)
-
-    def is_empty(self):
-        return not self.generators
-
-    def is_proper(self):
-        return not self.member(self.host.ambient.zero()).is_yes
-
-    def contains_ideal(self, other):
-        """other subset self, exactly (generator-level)."""
-        return all(self.member(g).is_yes for g in other.generators)
-
-    def same_as(self, other):
-        return self.contains_ideal(other) and other.contains_ideal(self)
-
-    def minimal_generators(self):
-        """Generators that are not reachable from the others: the unique
-        minimal generating set of a generated ideal is a subset of any
-        generating set."""
-        amb = self.host.ambient
-        keep = []
-        for g in self.generators:
-            others = [h for h in self.generators if h != g]
-            if not ideal_contains(self.host, others, g).is_yes:
-                keep.append(g)
-        return keep
-
-    def __repr__(self):
-        return f"MonoidIdeal(gens={list(self.generators)})"
-
-    def to_json(self):
-        return {"generators": [list(g) for g in self.generators]}
 
 
 def _faces_avoiding(host, ideal_gens):
@@ -318,7 +258,7 @@ def prime_decomposition(I, degree_bound=12):
     """Write a proper radical ideal as an irredundant intersection of primes:
     complements of the maximal face submonoids disjoint from I, certified
     exhaustively on the bounded slice."""
-    host = I.host if I.pc_host is None else I.pc_host.base
+    host = I.host
     inner = MonoidIdeal(host, I.generators)
     if not inner.is_proper():
         raise ValueError("prime_decomposition requires a proper ideal")

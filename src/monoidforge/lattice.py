@@ -401,18 +401,6 @@ def _congruence_matrix(generators, ambient):
     return rows, s
 
 
-def element_in_subgroup(target, generators, ambient):
-    """Integer coefficients c with sum c_i g_i = target in the ambient group,
-    or None if target is outside the generated subgroup."""
-    if not generators:
-        return () if tuple(target) == ambient.zero() else None
-    m, s = _congruence_matrix(generators, ambient)
-    sol = solve_integer(m, list(target))
-    if sol is None:
-        return None
-    return tuple(sol[:s])
-
-
 def subgroup_kernel(generators, ambient):
     """Basis of {c in Z^s : sum c_i g_i = 0 in ambient}."""
     if not generators:

@@ -1,5 +1,5 @@
-"""Cancellative monoids with torsion, partially cancellative quotients, and
-their structural operations.
+"""Cancellative monoids with torsion, their ideals, partially cancellative
+quotients, and their structural operations.
 
 Monoid elements are reduced tuples over the ambient group Z^r x prod Z/d_i;
 the ambient AbelianGroupShape does their coordinate arithmetic.  Membership
@@ -9,6 +9,10 @@ into integer keys, on which adding a generator is one integer addition.  A
 monoid M with units U = U(M) is reduced to the positive monoid M/U inside
 G/U: a lies in M exactly when its image lies in M/U, and a witness found
 there is lifted back to M through the unit generators (UnitQuotient).
+Membership in gp(M) reads the splitting gp(M) = gp(Mbar) x t(M) of the
+torsion quotient.  MonoidIdeal is the one holder of ideal generators: the
+quotient N/I (PcMonoid), I_* (StarSubmonoid) and the ideals module each
+hold one and ask it.
 """
 
 from functools import lru_cache
@@ -22,11 +26,9 @@ from .lattice import (
     _dot,
     clear_denominators,
     diagonal_of,
-    element_in_subgroup,
     facet_normals,
     field_eliminate,
     grading_for,
-    mat_mul,
     smith_normal_form,
     solve_smith,
     subgroup_shape,
@@ -100,8 +102,15 @@ class CancellativeMonoid:
         return self._cache["gp_shape"]
 
     def in_gp(self, a):
-        """Whether a lies in gp(M) inside the ambient group."""
-        return element_in_subgroup(self.ambient.reduce(a), list(self.generators), self.ambient) is not None
+        """Whether a lies in gp(M) inside the ambient group: gp(M) is
+        section(Z^r) + t(M) in the splitting of the torsion quotient."""
+        tq = self.torsion_quotient()
+        a = self.ambient.reduce(a)
+        try:
+            v = tq.project(a)
+        except ValueError:
+            return False
+        return self.ambient.sub(a, tq.section(v)) in tq.torsion_elements
 
     # -- grading and slices --------------------------------------------------
 
@@ -412,7 +421,6 @@ class TorsionQuotient:
             self.rank = 0
             self.Mbar = CancellativeMonoid(AbelianGroupShape(0), [])
             self._bar_images = []
-            self._basis = []
             self._sections = []
             self.torsion_elements = [amb.zero()]
             return
@@ -423,10 +431,7 @@ class TorsionQuotient:
         r = sum(1 for d in diag if d)
         # U A V = D: column j of A V is d_j times column j of U^{-1}, and the
         # first r of them are a basis of the lattice
-        AV = mat_mul(A, V)
-        basis = [tuple(AV[i][j] for i in range(k)) for j in range(r)]
         self.rank = r
-        self._basis = basis
         self._U = U
         self._diag = diag[:r]
         bar_gens = [self.project(g) for g in gens]
@@ -459,11 +464,7 @@ class TorsionQuotient:
 
     def section(self, v):
         """Splitting gp(Mbar) -> gp(M); project(section(v)) == v."""
-        amb = self.M.ambient
-        out = amb.zero()
-        for c, s in zip(v, self._sections):
-            out = amb.add(out, amb.scale(c, s))
-        return out
+        return _combine(v, self._sections, self.M.ambient)
 
 
 class UnitQuotient:
@@ -685,7 +686,8 @@ def torsion_quotient(M):
 
 
 # ---------------------------------------------------------------------------
-# ideals as raw generator data (the ideals module wraps this)
+# ideals: one MonoidIdeal holds the generators behind N/I, I_* and the
+# ideals module
 
 
 def ideal_contains(host, ideal_gens, x):
@@ -699,11 +701,62 @@ def ideal_contains(host, ideal_gens, x):
     return Membership("no")
 
 
-def validate_ideal(host, ideal_gens):
-    for g in ideal_gens:
-        res = member(host, g)
-        if not res.is_yes:
-            raise ValueError(f"ideal generator {g} is not an element of the host monoid")
+class MonoidIdeal:
+    """Finitely generated ideal of a cancellative or pc monoid.
+
+    pc-hosted ideals are represented by their pullback to the base monoid
+    (generators plus the collapse generators), which restores exactness;
+    host is always the cancellative monoid, and the constructor checks
+    that every generator lies in it.
+    """
+
+    def __init__(self, host, generators):
+        if isinstance(host, PcMonoid):
+            self.pc_host = host
+            base = host.base
+            gens = list(generators) + list(host.collapse_gens)
+        else:
+            self.pc_host = None
+            base = host
+            gens = list(generators)
+        for g in gens:
+            if not member(base, g).is_yes:
+                raise ValueError(f"ideal generator {g} is not an element of the host monoid")
+        self.host = base
+        self.generators = tuple(sorted({base.ambient.reduce(g) for g in gens}))
+
+    def member(self, x):
+        return ideal_contains(self.host, self.generators, x)
+
+    def is_empty(self):
+        return not self.generators
+
+    def is_proper(self):
+        return not self.member(self.host.ambient.zero()).is_yes
+
+    def contains_ideal(self, other):
+        """other subset self, exactly (generator-level)."""
+        return all(self.member(g).is_yes for g in other.generators)
+
+    def same_as(self, other):
+        return self.contains_ideal(other) and other.contains_ideal(self)
+
+    def minimal_generators(self):
+        """Generators that are not reachable from the others: the unique
+        minimal generating set of a generated ideal is a subset of any
+        generating set."""
+        keep = []
+        for g in self.generators:
+            others = [h for h in self.generators if h != g]
+            if not ideal_contains(self.host, others, g).is_yes:
+                keep.append(g)
+        return keep
+
+    def __repr__(self):
+        return f"MonoidIdeal(gens={list(self.generators)})"
+
+    def to_json(self):
+        return {"generators": [list(g) for g in self.generators]}
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +775,9 @@ class PcMonoid:
     """
 
     def __init__(self, base, collapse_gens=()):
-        validate_ideal(base, collapse_gens)
         self.base = base
-        self.collapse_gens = tuple(sorted({base.ambient.reduce(g) for g in collapse_gens}))
+        self.ideal = MonoidIdeal(base, collapse_gens)
+        self.collapse_gens = self.ideal.generators
 
     @property
     def has_collapse(self):
@@ -732,12 +785,10 @@ class PcMonoid:
 
     def is_singleton(self):
         """Whether I = N, i.e. the quotient is the constant singleton monoid."""
-        return self.has_collapse and ideal_contains(self.base, self.collapse_gens, self.base.zero()).is_yes
+        return not self.ideal.is_proper()
 
     def collapsed(self, x):
-        if not self.has_collapse:
-            return False
-        return ideal_contains(self.base, self.collapse_gens, x).is_yes
+        return self.ideal.member(x).is_yes
 
     def member(self, x):
         """Membership of an ambient element as a non-collapsed class."""
@@ -787,23 +838,19 @@ class StarSubmonoid:
     """
 
     def __init__(self, host, ideal_gens):
-        validate_ideal(host, ideal_gens)
         self.host = host
-        self.ideal_gens = tuple(sorted({host.ambient.reduce(g) for g in ideal_gens}))
+        self.ideal = MonoidIdeal(host, ideal_gens)
+        self.ideal_gens = self.ideal.generators
 
     def contains(self, x):
         x = self.host.ambient.reduce(x)
         if x == self.host.ambient.zero():
             return Membership("yes", ())
-        return ideal_contains(self.host, self.ideal_gens, x)
+        return self.ideal.member(x)
 
     def slice_elements(self, bound):
         """Ideal elements of grading degree <= bound (0 excluded)."""
-        return sorted(
-            el
-            for el in self.host.slice(bound)
-            if any(el) and ideal_contains(self.host, self.ideal_gens, el).is_yes
-        )
+        return sorted(el for el in self.host.slice(bound) if any(el) and self.ideal.member(el).is_yes)
 
     def generators_up_to(self, bound):
         """Minimal monoid generators of I_* with degree <= bound.
@@ -813,7 +860,6 @@ class StarSubmonoid:
         i.e. the stream has not visibly stabilized within the bound.
         """
         elems = self.slice_elements(bound)
-        eset = set(elems)
         amb = self.host.ambient
         mins = []
         for x in elems:
@@ -861,8 +907,7 @@ def smash(L, N):
     if not N.generators:
         return CancellativeMonoid(amb, [pair(g, ambN.zero()) for g in L.generators])
     # need every element of N; only finite N qualifies
-    n_shape = subgroup_shape(list(N.generators), ambN)
-    if n_shape.free_rank:
+    if any(any(g[: ambN.free_rank]) for g in N.generators):
         raise ValueError(
             "smash generators are only finite when the second factor is a finite "
             "torsion monoid; L smash N is not finitely generated here"

@@ -94,9 +94,6 @@ class Ring:
         """All elements; only for finite rings."""
         raise NotImplementedError("infinite ring")
 
-    def units(self):
-        return [a for a in self.elements() if self.is_unit(a)]
-
     def is_field(self):
         return False
 

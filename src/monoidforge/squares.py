@@ -714,13 +714,8 @@ def build_pc(N, ideal_gens, R):
     Q = PcMonoid(N, ideal_gens)
     Nalg = CancellativeAlgebra(N, R)
     Qalg = PcAlgebra(Q, R)
-    I = MonoidIdeal(N, list(ideal_gens))
-
-    @cache
-    def in_star(key):
-        return key == amb.zero() or I.member(key).is_yes
-
-    Istar = MonomialSubsetAlgebra(Nalg, in_star, "I*")
+    in_ideal = cache(Q.collapsed)
+    Istar = MonomialSubsetAlgebra(Nalg, lambda k: k == amb.zero() or in_ideal(k), "I*")
     Ralg = _trivial_algebra(R)
     zero0 = Ralg.zero_key()
     if Qalg.singleton:
@@ -729,9 +724,7 @@ def build_pc(N, ideal_gens, R):
         right = make_key_map(Qalg, lambda k: amb.zero())
         left = make_key_map(Ralg, lambda k: zero0)
     else:
-        right = make_key_map(
-            Qalg, lambda k: None if (Q.has_collapse and Q.collapsed(k)) else k
-        )
+        right = make_key_map(Qalg, lambda k: None if in_ideal(k) else k)
         left = make_key_map(Ralg, lambda k: zero0 if k == amb.zero() else None)
     corners = {
         "A1": Corner("R[I*]", algebra=Istar),

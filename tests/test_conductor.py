@@ -1,5 +1,8 @@
 import json
 import os
+import random
+import re
+from math import gcd
 
 import pytest
 
@@ -47,6 +50,85 @@ def test_gaps_against_bruteforce():
     for gens in ([2, 3], [3, 4, 5], [2, 5], [4, 5, 6, 7], [3, 7], [6, 10, 15]):
         S = NumericalSemigroup(gens)
         assert list(S.gaps) == brute_gaps(gens)
+
+
+class FixpointSemigroup:
+    """The former NumericalSemigroup constructor, word for word but for its
+    name: a fixpoint over sorted(reachable) per bound, and the gcd by a
+    loop.  The oracle of the one-pass construction."""
+
+    def __init__(self, generators):
+        gens = sorted(set(int(g) for g in generators))
+        if not gens or any(g <= 0 for g in gens):
+            raise ValueError("generators must be positive integers")
+        g = 0
+        for x in gens:
+            g = gcd(g, x)
+        if g != 1:
+            raise ValueError(f"generators must be coprime (gcd = {g})")
+        self.generators = tuple(gens)
+        a = gens[0]
+        reachable = {0}
+        bound = a
+        # grow until a full window of length min(gens) is reachable
+        while True:
+            changed = True
+            while changed:
+                changed = False
+                for x in sorted(reachable):
+                    for g in gens:
+                        y = x + g
+                        if y <= bound and y not in reachable:
+                            reachable.add(y)
+                            changed = True
+            start = None
+            for c in range(0, bound - a + 2):
+                if all((c + i) in reachable for i in range(a)):
+                    start = c
+                    break
+            if start is not None:
+                break
+            bound *= 2
+        self.gaps = tuple(n for n in range(start) if n not in reachable)
+        self.frobenius = max(self.gaps) if self.gaps else -1
+        self.conductor = self.frobenius + 1
+        self._members = reachable
+
+    def contains(self, n):
+        if n < 0:
+            return False
+        if n >= self.conductor:
+            return True
+        return n in self._members
+
+
+def test_one_pass_semigroup_matches_the_fixpoint():
+    rng = random.Random(1903)
+    cases = [[1], [6, 10, 15], [2, 3], [1, 7], [9, 7, 7]]
+    while len(cases) < 600:
+        cases.append([rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
+    coprime = 0
+    for gens in cases:
+        try:
+            old = FixpointSemigroup(gens)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                NumericalSemigroup(gens)
+            continue
+        coprime += 1
+        new = NumericalSemigroup(gens)
+        assert new.to_json() == {
+            "generators": list(old.generators),
+            "gaps": list(old.gaps),
+            "frobenius": old.frobenius,
+            "conductor": old.conductor,
+        }, gens
+        for n in range(-2, new.conductor + 3):
+            assert new.contains(n) == old.contains(n), (gens, n)
+    assert coprime >= 300
+    for bad in ([], [0, 1], [-2, 3]):
+        with pytest.raises(ValueError, match="^generators must be positive integers$"):
+            NumericalSemigroup(bad)
 
 
 def test_conductor_data_examples():

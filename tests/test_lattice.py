@@ -15,7 +15,6 @@ from monoidforge.lattice import (
     clear_denominators,
     diagonal_of,
     double_description,
-    element_in_subgroup,
     facet_normals,
     field_eliminate,
     grading_for,

@@ -129,7 +129,8 @@ def test_project_matches_solve_integer():
     for m in (M(Z2, [(1, 0), (1, 2)]), M(ZxZ2, [(2, 1), (3, 0), (5, 1)]), diagonal):
         tq = m.torsion_quotient()
         k = m.ambient.free_rank
-        bmat = [[b[i] for b in tq._basis] for i in range(k)]  # columns = basis
+        # column j: the free part of section j, basis vector j of the lattice
+        bmat = [[s[i] for s in tq._sections] for i in range(k)]
         for el in sorted(m.slice(6)):
             assert tq.project(el) == solve_integer(bmat, list(el[:k]))
     # off the lattice: a coordinate not divisible by its elementary divisor,
