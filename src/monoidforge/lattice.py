@@ -623,25 +623,38 @@ class SolveResult(Record):
         return self.status == "witness"
 
 
-def grading_for(generators, ambient):
+def grading_for(generators, ambient, cone=False):
     """A covector w on the free coordinates with w(g) >= 1 for every generator,
     or None when no strictly positive grading exists (non-positive cone or a
-    pure-torsion generator)."""
+    pure-torsion generator).
+
+    With cone=True the answer is (w, lineality, normals), read off the same
+    double description: a basis of the orthogonal complement of the span of
+    the free parts, and the inward facet normals of their cone inside that
+    span, each up to a vector of the lineality.  On a positive monoid w is a
+    positive multiple of the sum of the normals on the span."""
     r = ambient.free_rank
     frees = [tuple(g[:r]) for g in generators]
-    if any(not any(f) and any(g) for f, g in zip(frees, generators)):
-        return None
     nonzero = [f for f in frees if any(f)]
-    if not nonzero:
-        return (0,) * r
-    # one double description of the cone in Z^r: the pivots are a basis of
-    # the span, and a ray n gives the facet normal (n . b_j)_j in the
-    # coordinates of the pivots b_j, whatever its part in the lineality
-    # (the orthogonal complement of the span).  Their sum w_span is > 0 on
-    # a generator exactly when some ray is.
-    _, rays, pivots = double_description(nonzero, r)
+    if any(not any(f) and any(g) for f, g in zip(frees, generators)):
+        found = None, [], []
+    elif not nonzero:
+        found = (0,) * r, [], []
+    else:
+        found = _grading_of_cone(nonzero, r)
+    return found if cone else found[0]
+
+
+def _grading_of_cone(nonzero, r):
+    """(w, lineality, rays) for grading_for, from one double description of
+    the cone of the nonzero free parts in Z^r: the pivots are a basis of the
+    span, and a ray n gives the facet normal (n . b_j)_j in the coordinates
+    of the pivots b_j, whatever its part in the lineality (the orthogonal
+    complement of the span).  Their sum w_span is > 0 on a generator exactly
+    when some ray is."""
+    lin, rays, pivots = double_description(nonzero, r)
     if not all(any(_dot(n, f) > 0 for n in rays) for f in nonzero):
-        return None
+        return None, lin, rays
     basis = [nonzero[j] for j in pivots]
     span_rank = len(basis)
     normals = [primitive([_dot(n, b) for b in basis]) for n in rays]
@@ -650,11 +663,9 @@ def grading_for(generators, ambient):
     # only values on the generator span matter, so solve for an integer row.
     bmat = [[b[i] for b in basis] for i in range(r)]  # columns = pivots
     w = _covector_from_span(bmat, w_span, r, span_rank)
-    if w is None:
-        return None
-    if any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):
-        return None
-    return tuple(w)
+    if w is None or any(sum(wc * fc for wc, fc in zip(w, f)) < 1 for f in nonzero):
+        return None, lin, rays
+    return tuple(w), lin, rays
 
 
 def fast_zero(R):

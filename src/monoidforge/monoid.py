@@ -3,9 +3,11 @@ quotients, and their structural operations.
 
 Monoid elements are reduced tuples over the ambient group Z^r x prod Z/d_i;
 the ambient AbelianGroupShape does their coordinate arithmetic.  Membership
-is exact and always ends.  A positive monoid is searched through a strictly
-positive grading, slice by slice; a slice (GradedSlice) packs its elements
-into integer keys, on which adding a generator is one integer addition.  A
+is exact and always ends.  A positive monoid enumerates its elements through
+a strictly positive grading, slice by slice; a slice (GradedSlice) packs its
+elements into integer keys, on which adding a generator is one integer
+addition.  Membership past the cached slice searches only the facet
+interval of the query (FacetInterval), on packed facet slacks.  A
 monoid M with units U = U(M) is reduced to the positive monoid M/U inside
 G/U: a lies in M exactly when its image lies in M/U, and a witness found
 there is lifted back to M through the unit generators (UnitQuotient).
@@ -17,8 +19,8 @@ hold one and ask it.
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
-from operator import mul
+from math import gcd, prod
+from operator import ge, lshift, mul
 
 from .lattice import (
     AbelianGroupShape,
@@ -110,14 +112,16 @@ class CancellativeMonoid:
             v = tq.project(a)
         except ValueError:
             return False
-        return self.ambient.sub(a, tq.section(v)) in tq.torsion_elements
+        return tq.in_torsion(self.ambient.sub(a, tq.section(v)))
 
     # -- grading and slices --------------------------------------------------
 
     def grading(self):
         """Strictly positive integer grading covector, or None."""
         if "grading" not in self._cache:
-            self._cache["grading"] = grading_for(list(self.generators), self.ambient)
+            w, lin, normals = grading_for(list(self.generators), self.ambient, True)  # cone=True
+            self._cache["grading"] = w
+            self._cache["cone"] = lin, normals
         return self._cache["grading"]
 
     def degree(self, a):
@@ -128,7 +132,10 @@ class CancellativeMonoid:
 
     def _slice_data(self, bound):
         """The GradedSlice of every monoid element of degree <= bound, from
-        one breadth-first search started at 0.
+        one breadth-first search started at 0, for the callers that
+        enumerate: the ideals, the key lists, the closures and
+        _irreducible_generators.  member reads a cached slice but never
+        grows one; past its bound it searches an interval instead.
 
         The witness of an element is the first path the search reaches it
         by: the factorization with the fewest generators, and among those
@@ -417,12 +424,13 @@ class TorsionQuotient:
         k = amb.free_rank
         gens = list(M.generators)
         frees = [list(g[:k]) for g in gens]
+        self._tgens = []
+        self._elements = self._tsnf = None
         if not gens:
             self.rank = 0
             self.Mbar = CancellativeMonoid(AbelianGroupShape(0), [])
             self._bar_images = []
             self._sections = []
-            self.torsion_elements = [amb.zero()]
             return
         # lattice spanned by the free parts, basis from the Smith form
         A = [[frees[j][i] for j in range(len(gens))] for i in range(k)]  # k x s
@@ -442,12 +450,36 @@ class TorsionQuotient:
         # the coefficients of that column
         self._sections = [_combine([row[j] for row in V], gens, amb) for j in range(r)]
         # t(M) = gp(M) cap torsion, generated by g - section(project(g))
-        tgens = []
         for g in gens:
             t = amb.sub(g, self.section(self.project(g)))
             assert not any(t[:k])
-            tgens.append(t)
-        self.torsion_elements = _group_closure(tgens, amb)
+            self._tgens.append(t)
+
+    @property
+    def torsion_elements(self):
+        """Every element of t(M), sorted, listed on first use: only the
+        closures read the list, and it can be too large to list."""
+        if self._elements is None:
+            self._elements = _group_closure(self._tgens, self.M.ambient)
+        return self._elements
+
+    def in_torsion(self, t):
+        """Whether the reduced element t lies in t(M): t has zero free part
+        and its torsion part solves sum c_i t_i + sum e_j d_j u_j = t over
+        the generators t_i of t(M) and the moduli d_j, one solve against a
+        Smith form kept from the first call."""
+        amb = self.M.ambient
+        k = amb.free_rank
+        if any(t[:k]):
+            return False
+        if not amb.torsion:
+            return True
+        if self._tsnf is None:
+            n = len(amb.torsion)
+            cols = [list(g[k:]) for g in self._tgens]
+            cols += [[d if i == j else 0 for i in range(n)] for j, d in enumerate(amb.torsion)]
+            self._tsnf = smith_normal_form([[c[i] for c in cols] for i in range(n)])
+        return solve_smith(self._tsnf, list(t[k:])) is not None
 
     def project(self, a):
         """Coordinates of a's free part x in gp(Mbar) = Z^r.  The basis
@@ -622,12 +654,12 @@ def _group_closure(gens, ambient):
 def member(M, a):
     """Exact membership of a in M, with a witness over M.generators.
 
-    Positive monoids are searched through their grading, slice by slice:
-    a is looked up in the slice up to its degree, after a range check that
-    answers "no" for an element outside the box of the slice.  A monoid with
-    units answers through the positive monoid M/U(M), and its witness is
-    lifted back to M and checked in the ambient group.  The answer is "yes"
-    with a witness, or "no", which is a proof.
+    A positive monoid looks a up in its cached slice when that covers
+    deg(a), and otherwise searches the facet interval of a (FacetInterval),
+    which grows no slice; both give the same witness.  A monoid with units
+    answers through the positive monoid M/U(M), and its witness is lifted
+    back to M and checked in the ambient group.  The answer is "yes" with a
+    witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the
@@ -646,19 +678,172 @@ def member(M, a):
 
 
 def _graded_member(M, a):
-    """Membership of a reduced element in a positive monoid, by its slice."""
+    """Membership of a reduced element in a positive monoid: a lookup in the
+    cached slice when it covers deg(a), otherwise the interval search."""
     amb = M.ambient
     if a == amb.zero():
         return Membership("yes", (0,) * len(M.generators))
     if not M.generators:
         return Membership("no", note="trivial monoid")
-    d = M.degree(a)
-    if d <= 0:
-        return Membership("no", note="nonpositive grading degree")
-    hit = M._slice_data(d).get(a)
+    cached = M._cache.get("slice")
+    if cached is None or cached.bound < M.degree(a):
+        return _interval_member(M, a)
+    hit = cached.get(a)
     if hit is not None:
         return Membership("yes", hit[0])
-    return Membership("no", note=f"exhausted graded slice to degree {d}")
+    return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
+
+
+def _interval_member(M, a):
+    """Membership of a reduced nonzero element in the positive monoid M by
+    its FacetInterval, made on first use."""
+    interval = M._cache.get("interval")
+    if interval is None:
+        interval = M._cache["interval"] = FacetInterval(M)
+    return interval.member(a)
+
+
+class FacetInterval:
+    """Membership in a positive monoid M by a breadth-first search over the
+    interval {p in M : n.p <= n.a for every facet normal n} of the target a,
+    with the normals and the lineality that M.grading() read off its double
+    description.  A target off the span of the generators (some lineality
+    vector is nonzero on it) or outside their cone is not in M.
+
+    Every prefix p of a factorization of a has a - p in M, so the interval
+    holds every path to a; the search takes the generators in the order of
+    the slice search and stops at the first reach, so the witness is the
+    slice's.  The grading is a positive multiple of the sum of the normals
+    on the span, so the interval lies in the slice of degree deg(a).
+
+    An element p is keyed by its slacks n_i.(a - p), which fix its free part
+    inside the span, packed into fields with a guard bit on top of each,
+    followed by its torsion index (mixed radix over the moduli, the last
+    one fastest) in the low tbits bits.  Each field is at least as wide as
+    n_i.g for every generator g and as n_i.a; the widths only grow, from
+    one target to the next.  Subtracting the packed values F of a generator
+    from a key with every guard set then borrows across no field, and the
+    step stays in the interval exactly when every guard is still set.  A
+    generator that does not fit at p = 0 never fits, so it is left out.  a
+    is reached at slack 0 with its own torsion index.  Answers are kept per
+    target: interior_member and face_locate ask again what member asked.
+    """
+
+    def __init__(self, M):
+        amb = M.ambient
+        self._lin, self._normals = M._cache["cone"]
+        self._gens = M.generators
+        self._values = [[_dot(n, g) for n in self._normals] for g in self._gens]
+        self._rank, self._torsion = amb.free_rank, amb.torsion
+        self._tbits = (prod(amb.torsion) - 1).bit_length()
+        self._widths = [max(v).bit_length() for v in zip(*self._values)]
+        self._pack()
+        self._answers = {}
+
+    def _pack(self):
+        """Field offsets, the guard bits, each generator's packed facet
+        values for the present widths and the shifts of one step by it per
+        torsion index (one shift, -F, without torsion)."""
+        self._offsets, guard, off = [], 0, 0
+        for w in self._widths:
+            self._offsets.append(off)
+            guard |= 1 << (off + w)
+            off += w + 1
+        self._limits = [1 << w for w in self._widths]
+        tb = self._tbits
+        self._guard = guard << tb
+        self._packed = [
+            sum(v << o for v, o in zip(vals, self._offsets)) << tb for vals in self._values
+        ]
+        r = self._rank
+        self._shifts = [
+            _torsion_shifts(g[r:], self._torsion, f) for g, f in zip(self._gens, self._packed)
+        ]
+
+    def member(self, a):
+        """The Membership of the nonzero reduced element a, memoized."""
+        res = self._answers.get(a)
+        if res is None:
+            wit = self._witness(a)
+            res = self._answers[a] = (
+                Membership("no", note="no path to the element inside its facet interval")
+                if wit is None else Membership("yes", wit)
+            )
+        return res
+
+    def _witness(self, a):
+        """The slice witness of a over the generators of M, or None when a
+        is not in M."""
+        if self._lin and any(_dot(l, a) for l in self._lin):
+            return None
+        top = [_dot(n, a) for n in self._normals]
+        if min(top) < 0:
+            return None
+        if any(map(ge, top, self._limits)):
+            self._widths = [max(w, s.bit_length()) for s, w in zip(top, self._widths)]
+            self._pack()
+        tb, guard, r, tor = self._tbits, self._guard, self._rank, self._torsion
+        tmask = (1 << tb) - 1
+        start = sum(map(lshift, top, self._offsets)) << tb | guard
+        goal = guard | _torsion_index(a[r:], tor)
+        moves = [(i, sh) for i, sh in enumerate(self._shifts) if (start + sh[0]) & guard == guard]
+        seen = _interval_search(start, goal, guard, moves, tmask)
+        if seen is None:
+            return None
+        # walk back from a, undoing each recorded step and its torsion part
+        coeffs = [0] * len(self._gens)
+        key, t = goal, a[r:]
+        while key != start:
+            i = seen[key]
+            coeffs[i] += 1
+            key += self._packed[i]
+            if tor:
+                t = tuple((y - z) % d for y, z, d in zip(t, self._gens[i][r:], tor))
+                key += _torsion_index(t, tor) - (key & tmask)
+        return tuple(coeffs)
+
+
+def _interval_search(start, goal, guard, moves, tmask):
+    """Key -> index of the last generator for the keys reached breadth first
+    from start, up to the first reach of goal, or None when goal is not
+    reached.  The low bits tmask of a key hold its torsion index t, and a
+    move (index, shifts) adds shifts[t]; a step is kept while every guard
+    bit is set."""
+    seen = {start: -1}
+    frontier = [start]
+    while frontier:
+        new = []
+        for key in frontier:
+            t = key & tmask
+            for i, shifts in moves:
+                nxt = key + shifts[t]
+                if nxt & guard == guard and nxt not in seen:
+                    seen[nxt] = i
+                    if nxt == goal:
+                        return seen
+                    new.append(nxt)
+        frontier = new
+    return None
+
+
+def _torsion_index(t, torsion):
+    """The index of a reduced torsion part: mixed radix over the moduli,
+    the last one fastest."""
+    index = 0
+    for y, d in zip(t, torsion):
+        index = index * d + y
+    return index
+
+
+def _torsion_shifts(v, torsion, f):
+    """Per torsion index t, what one step by a generator with torsion part v
+    and packed facet values f (shifted past the index bits) adds to a key
+    whose low bits hold t: the index moves to that of t + v."""
+    table = [0]
+    for c, d in zip(v, torsion):
+        turned = list(range(c, d)) + list(range(c))
+        table = [x * d + y for x in table for y in turned]
+    return [u - t - f for t, u in enumerate(table)]
 
 
 def units_submonoid(M):

@@ -314,15 +314,15 @@ def build_torsion_splitting_oracle(L, n_list, R):
 
 
 def _random_positive_monoid(rng, rank, max_entry):
-    """rank to rank + 1 nonzero generators with entries in 0..max_entry.
-    With up to rank + 2 generators, a rank-3 input can hit the slice wall
-    of the stage-by-stage fixpoint (ROADMAP item 3): seminormalize of
-    <(0,2,3),(1,0,0),(3,0,2),(3,2,0),(3,3,0)> takes minutes with either
-    fixpoint."""
+    """rank to rank + 2 nonzero generators with entries in 0..max_entry.
+    The draws include <(0,2,3),(1,0,0),(3,0,2),(3,2,0),(3,3,0)>, whose
+    seminormalization took minutes while membership grew graded slices; on
+    interval searches the oracle fixpoint takes most of this test's time
+    on it."""
     while True:
         gens = [
             tuple(rng.randint(0, max_entry) for _ in range(rank))
-            for _ in range(rng.randint(rank, rank + 1))
+            for _ in range(rng.randint(rank, rank + 2))
         ]
         gens = [g for g in gens if any(g)]
         if gens:
