@@ -365,7 +365,8 @@ def seminormalize(M):
     amb = M.ambient
     pool = _sn_candidate_pool(M)
     # the first pass asks M itself about every candidate: one slice up to
-    # the pool's degree answers those by lookup, where the later stages,
+    # the pool's degree answers those by lookup (member reads a cached slice
+    # that covers the degree and never grows one), where the later stages,
     # asked about fewer candidates, search intervals
     M._slice_data(max(M.degree(a) for a in pool))
     current = M

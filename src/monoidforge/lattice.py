@@ -623,35 +623,29 @@ class SolveResult(Record):
         return self.status == "witness"
 
 
-def grading_for(generators, ambient, cone=False):
-    """A covector w on the free coordinates with w(g) >= 1 for every generator,
-    or None when no strictly positive grading exists (non-positive cone or a
-    pure-torsion generator).
+def grading_for(generators, ambient):
+    """(w, lineality, normals), read off one double description of the cone
+    of the nonzero free parts in Z^r.
 
-    With cone=True the answer is (w, lineality, normals), read off the same
-    double description: a basis of the orthogonal complement of the span of
-    the free parts, and the inward facet normals of their cone inside that
-    span, each up to a vector of the lineality.  On a positive monoid w is a
-    positive multiple of the sum of the normals on the span."""
+    w is a covector on the free coordinates with w(g) >= 1 for every
+    generator, or None when no strictly positive grading exists
+    (non-positive cone or a pure-torsion generator).  lineality is a basis
+    of the orthogonal complement of the span of the free parts, and normals
+    are the inward facet normals of their cone inside that span, each up to
+    a vector of the lineality.  On a positive monoid w is a positive
+    multiple of the sum of the normals on the span.
+
+    The pivots of the double description are a basis of the span, and a
+    ray n gives the facet normal (n . b_j)_j in the coordinates of the
+    pivots b_j, whatever its part in the lineality.  Their sum w_span is
+    > 0 on a generator exactly when some ray is."""
     r = ambient.free_rank
     frees = [tuple(g[:r]) for g in generators]
     nonzero = [f for f in frees if any(f)]
     if any(not any(f) and any(g) for f, g in zip(frees, generators)):
-        found = None, [], []
-    elif not nonzero:
-        found = (0,) * r, [], []
-    else:
-        found = _grading_of_cone(nonzero, r)
-    return found if cone else found[0]
-
-
-def _grading_of_cone(nonzero, r):
-    """(w, lineality, rays) for grading_for, from one double description of
-    the cone of the nonzero free parts in Z^r: the pivots are a basis of the
-    span, and a ray n gives the facet normal (n . b_j)_j in the coordinates
-    of the pivots b_j, whatever its part in the lineality (the orthogonal
-    complement of the span).  Their sum w_span is > 0 on a generator exactly
-    when some ray is."""
+        return None, [], []
+    if not nonzero:
+        return (0,) * r, [], []
     lin, rays, pivots = double_description(nonzero, r)
     if not all(any(_dot(n, f) > 0 for n in rays) for f in nonzero):
         return None, lin, rays

@@ -119,7 +119,7 @@ class CancellativeMonoid:
     def grading(self):
         """Strictly positive integer grading covector, or None."""
         if "grading" not in self._cache:
-            w, lin, normals = grading_for(list(self.generators), self.ambient, True)  # cone=True
+            w, lin, normals = grading_for(list(self.generators), self.ambient)
             self._cache["grading"] = w
             self._cache["cone"] = lin, normals
         return self._cache["grading"]
@@ -135,7 +135,11 @@ class CancellativeMonoid:
         one breadth-first search started at 0, for the callers that
         enumerate: the ideals, the key lists, the closures and
         _irreducible_generators.  member reads a cached slice but never
-        grows one; past its bound it searches an interval instead.
+        grows one; past its bound it searches an interval instead.  So a
+        caller about to ask member about many elements up to one degree
+        may build that slice first and have them answered by lookup, as
+        closure.seminormalize does for its first pass; a change to this
+        policy must keep that true or move the decision into member.
 
         The witness of an element is the first path the search reaches it
         by: the factorization with the fewest generators, and among those
@@ -264,9 +268,9 @@ class GradedSlice:
         for d in reversed(self._torsion):
             tplaces.append(place)
             place *= d
-        self._tplaces = tplaces[::-1]  # the torsion index is sum t_j * tplaces_j
+        tplaces.reverse()  # the torsion index is sum t_j * tplaces_j
         self.key = _key_function(r, len(self._torsion))(
-            self.zero, *(-e for e in self._reach), *self._reach, *self._places, *self._tplaces
+            self.zero, *(-e for e in self._reach), *self._reach, *self._places, *tplaces
         )
         self.entries = _graded_search(
             bound, [M.degree(g) for g in gens], [self._shift(g) for g in gens], self.zero, self.order
@@ -275,12 +279,7 @@ class GradedSlice:
 
     def _shift(self, v):
         """Per torsion index, what adding the reduced element v adds to a key."""
-        free = sum(map(mul, v, self._places))
-        tv = v[self._rank:]
-        return [
-            free + sum((a + b) % d * q for a, b, d, q in zip(t, tv, self._torsion, self._tplaces)) - i
-            for i, t in enumerate(self._torsion_tuples)
-        ]
+        return _torsion_shifts(v[self._rank:], self._torsion, -sum(map(mul, v, self._places)))
 
     def get(self, a):
         """(witness, degree) of the reduced element a, or None when a is not
@@ -656,10 +655,12 @@ def member(M, a):
 
     A positive monoid looks a up in its cached slice when that covers
     deg(a), and otherwise searches the facet interval of a (FacetInterval),
-    which grows no slice; both give the same witness.  A monoid with units
-    answers through the positive monoid M/U(M), and its witness is lifted
-    back to M and checked in the ambient group.  The answer is "yes" with a
-    witness, or "no", which is a proof.
+    which grows no slice; both give the same witness.  A caller with many
+    queries up to one degree can build M._slice_data(degree) first to have
+    them answered by lookup (closure.seminormalize relies on this).  A
+    monoid with units answers through the positive monoid M/U(M), and its
+    witness is lifted back to M and checked in the ambient group.  The
+    answer is "yes" with a witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the
@@ -679,28 +680,24 @@ def member(M, a):
 
 def _graded_member(M, a):
     """Membership of a reduced element in a positive monoid: a lookup in the
-    cached slice when it covers deg(a), otherwise the interval search."""
+    cached slice when it covers deg(a), otherwise the interval search of
+    M's FacetInterval, made on first use."""
     amb = M.ambient
     if a == amb.zero():
         return Membership("yes", (0,) * len(M.generators))
     if not M.generators:
         return Membership("no", note="trivial monoid")
-    cached = M._cache.get("slice")
+    cache = M._cache
+    cached = cache.get("slice")
     if cached is None or cached.bound < M.degree(a):
-        return _interval_member(M, a)
+        interval = cache.get("interval")
+        if interval is None:
+            interval = cache["interval"] = FacetInterval(M)
+        return interval.member(a)
     hit = cached.get(a)
     if hit is not None:
         return Membership("yes", hit[0])
     return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
-
-
-def _interval_member(M, a):
-    """Membership of a reduced nonzero element in the positive monoid M by
-    its FacetInterval, made on first use."""
-    interval = M._cache.get("interval")
-    if interval is None:
-        interval = M._cache["interval"] = FacetInterval(M)
-    return interval.member(a)
 
 
 class FacetInterval:
@@ -726,8 +723,12 @@ class FacetInterval:
     step stays in the interval exactly when every guard is still set.  A
     generator that does not fit at p = 0 never fits, so it is left out.  a
     is reached at slack 0 with its own torsion index.  Answers are kept per
-    target: interior_member and face_locate ask again what member asked.
+    target, since interior_member and face_locate ask again what member
+    asked; the memo is emptied when it holds ANSWERS_KEPT of them, so an
+    interned monoid keeps no more than that.
     """
+
+    ANSWERS_KEPT = 1024
 
     def __init__(self, M):
         amb = M.ambient
@@ -764,6 +765,8 @@ class FacetInterval:
         """The Membership of the nonzero reduced element a, memoized."""
         res = self._answers.get(a)
         if res is None:
+            if len(self._answers) >= self.ANSWERS_KEPT:
+                self._answers.clear()
             wit = self._witness(a)
             res = self._answers[a] = (
                 Membership("no", note="no path to the element inside its facet interval")
@@ -836,9 +839,12 @@ def _torsion_index(t, torsion):
 
 
 def _torsion_shifts(v, torsion, f):
-    """Per torsion index t, what one step by a generator with torsion part v
-    and packed facet values f (shifted past the index bits) adds to a key
-    whose low bits hold t: the index moves to that of t + v."""
+    """Per torsion index t, what adding a reduced torsion part v and
+    subtracting f from the rest of a key adds to a key whose low part holds
+    t: the index moves to that of t + v.  The one torsion table of both
+    engines: a GradedSlice step adds the packed free part of a generator
+    (f is its negative), a FacetInterval step subtracts its packed facet
+    values."""
     table = [0]
     for c, d in zip(v, torsion):
         turned = list(range(c, d)) + list(range(c))

@@ -17,7 +17,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from monoidforge.lattice import AbelianGroupShape
-from monoidforge.monoid import CancellativeMonoid, GradedSlice, member
+from monoidforge.monoid import CancellativeMonoid, FacetInterval, GradedSlice, member
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -149,6 +149,22 @@ def test_cached_slice_is_read_and_answers_are_memoized():
     first = member(M, (160, 161))
     assert first.is_yes and member(M, (160, 161)) is first
     assert M._cache["slice"].bound == 6
+
+
+def test_answer_memo_is_bounded():
+    """The memo of answers is emptied when full, so a long run of distinct
+    queries on one interned monoid keeps at most ANSWERS_KEPT answers, and
+    each answer is still the slice's."""
+    M = CancellativeMonoid(AbelianGroupShape(2), [(2, 0), (1, 1), (0, 3), (3, 5)])
+    M._cache.pop("slice", None)
+    M._cache.pop("interval", None)
+    kept = FacetInterval.ANSWERS_KEPT
+    for x in range(kept + 40):
+        a = (x % 60 + 7, x // 60 + 7)
+        res = member(M, a)
+        assert (res.witness if res.is_yes else None) == slice_witness(M, a), a
+        assert len(M._cache["interval"]._answers) <= kept
+    assert len(M._cache["interval"]._answers) == 40
 
 
 def test_fields_widen_from_one_target_to_the_next():
