@@ -351,11 +351,14 @@ class OneUnitPresentation:
         return n
 
     def element(self, exps):
-        """prod g_i^(exps_i) for integer exponents of any sign."""
+        """prod g_i^(exps_i) for integer exponents of any sign; a factor
+        with exponent divisible by self.exponent is one and is skipped."""
         ring = self.ring
         out = ring.one()
         for g, n in zip(self.gens, exps):
-            out = ring.mul(out, ring.pow(g, n % self.exponent))
+            n %= self.exponent
+            if n:
+                out = ring.mul(out, ring.pow(g, n))
         return out
 
     def quotient(self, extra=()):

@@ -3,8 +3,13 @@ and the face filtration of positive seminormal monoids.  The ideals
 themselves are monoid.MonoidIdeal, with its exact membership, which the
 quotients N/I and I_* hold as well.
 
-Every derived ideal is certified on an explicit bounded slice; certification
-failures raise, naming the offending element, rather than returning silently.
+The radical candidate, the face-complement primes and the filtration
+ideals are exact: each is cut out by the facets vanishing at an element, so
+its generators are sums of generator supports and no degree bound enters
+them.  The degree bound limits only the slice certificates (intersection,
+filtration, the definitional scan of is_prime) and the slice fallback of
+radical; certification failures raise, naming the offending element, rather
+than returning silently.
 """
 
 from .lattice import Record
@@ -15,6 +20,13 @@ from .closure import is_seminormal
 
 class CertificationError(RuntimeError):
     """A bounded certificate could not be established."""
+
+
+# bound of is_prime's definitional scan; prime_decomposition reads one slice
+# that covers it
+_DEFINITIONAL_BOUND = 3
+# supports the exact generator search may grow before it refuses
+_SUPPORT_LIMIT = 100000
 
 
 def _faces_avoiding(host, ideal_gens):
@@ -29,7 +41,7 @@ def _faces_avoiding(host, ideal_gens):
     ]
 
 
-def is_prime(I, definitional_bound=3):
+def is_prime(I, definitional_bound=_DEFINITIONAL_BOUND):
     """Complement-is-a-submonoid test, decided exactly through the face
     geometry: prime iff no ideal generator maps into the minimal face
     spanned by the non-ideal monoid generators.
@@ -68,20 +80,24 @@ def is_prime(I, definitional_bound=3):
 
 
 def _predicate_ideal_generators(host, pred, bound):
-    """Minimal elements of {x in M : pred(x, witness)} on the degree <= bound
-    slice, certified by a lookahead window: every predicate element one
-    generator band above the bound must already reduce to the found
-    generators.
+    """Minimal generators of the ideal {x in M : pred(x, witness)} of a
+    positive monoid M.  A mask predicate (see _mask_predicate) is decided
+    exactly by _support_generators, and bound does not enter.  Any other
+    predicate is searched on the degree <= bound slice, certified by a
+    lookahead window: every predicate element one generator band above the
+    bound must already reduce to the found generators.
 
     One slice of degree bound + band answers every membership question of
-    the search by lookup: each difference x - g it forms has degree at most
-    deg(x), and the slice holds every element of M up to its bound.  pred is
-    called with an element and its slice witness, at most once per element;
-    a predicate marked witness_only (see _mask_predicate) gets None for the
-    element, which is then never unpacked from its key.
+    the slice search by lookup: each difference x - g it forms has degree at
+    most deg(x), and the slice holds every element of M up to its bound.
+    pred is called with an element and its slice witness, at most once per
+    element.
     """
     if host.grading() is None:  # before degree() raises a different message
         raise ValueError("slice enumeration needs a positive monoid")
+    test = getattr(pred, "mask_test", None)
+    if test is not None:
+        return _support_generators(host, test)
     gens = host.generators
     band = max((host.degree(g) for g in gens), default=1)
     top = bound + band
@@ -89,12 +105,11 @@ def _predicate_ideal_generators(host, pred, bound):
     entries = data.entries
     steps = data.minus(gens)
     known = {}
-    unpack = not getattr(pred, "witness_only", False)
 
     def holds(x):
         ok = known.get(x)
         if ok is None:
-            ok = known[x] = pred(data.element(x) if unpack else None, entries[x][0])
+            ok = known[x] = pred(data.element(x), entries[x][0])
         return ok
 
     mins, lookahead = [], []
@@ -116,16 +131,72 @@ def _predicate_ideal_generators(host, pred, bound):
     return found
 
 
+def _support_generators(host, test):
+    """Minimal generators of {x in M : test(mask(x))}, sorted, where mask(x)
+    is the bitset of facets vanishing at the image of x and test holds on
+    every submask of a mask it holds on (so the set is an ideal).
+
+    mask(x) is the AND of the generator masks over the support of any
+    factorization of x, so x lies in the ideal exactly when the sum of its
+    support does, and the ideal is generated by the sums over the minimal
+    supports S with test(mask(S)).  Grown in index order, a minimal support
+    shrinks the mask at every step (a generator that does not is redundant),
+    so supports grow one size at a time and only by such generators; one
+    that passes is kept and none of its supersets is.  A sum c is dropped
+    when c - d lies in M for another sum d, which leaves the unique minimal
+    generating set of a positive monoid's ideal.
+    """
+    cone = _cone_of(host)
+    amb, gens, masks = host.ambient, host.generators, cone.host_masks
+    verdict = {}
+    kept, frontier, grown = [], [(0, cone.all_facets, 0)], 0
+    while frontier:
+        nxt = []
+        for support, mask, start in frontier:
+            for i in range(start, len(gens)):
+                m = mask & masks[i]
+                if m == mask:
+                    continue
+                s = support | 1 << i
+                ok = verdict.get(m)
+                if ok is None:
+                    ok = verdict[m] = test(m)
+                if not ok:
+                    nxt.append((s, m, i + 1))
+                elif not any(k & s == k for k, _ in kept):
+                    kept.append((s, m))
+        grown += len(nxt)
+        if grown > _SUPPORT_LIMIT:
+            raise ValueError(f"ideal support enumeration too large: {grown} supports")
+        frontier = nxt
+    sums = {}
+    for s, m in kept:
+        c = amb.zero()
+        for i, g in enumerate(gens):
+            if s >> i & 1:
+                c = amb.add(c, g)
+        sums[c] = (host.degree(c), m)
+    # c - d in M makes deg d < deg c and mask(c) a submask of mask(d)
+    found = []
+    for c, (dc, mc) in sums.items():
+        if not any(
+            dd < dc and mc & md == mc and member(host, amb.sub(c, d)).is_yes
+            for d, (dd, md) in sums.items()
+        ):
+            found.append(c)
+    return sorted(found)
+
+
 def _mask_predicate(host, test):
     """The predicate test(mask) on elements of host, where mask is the bitset
     of facets vanishing at the image of the element, read off its witness
-    alone."""
+    alone; test is kept as mask_test for the exact generator search."""
     cone = _cone_of(host)
 
     def pred(x, witness):
         return test(cone.witness_mask(witness))
 
-    pred.witness_only = True
+    pred.mask_test = test
     return pred
 
 
@@ -172,11 +243,13 @@ def radical(I, degree_bound=12, power_bound=64):
     """sqrt(I) = {x : nx in I for some n > 0}.
 
     Candidate: intersection of the face-complement primes containing I; it
-    always contains sqrt(I).  Generator-level power certificates (n*g in I)
-    then force candidate subset sqrt(I) globally, since n(g+m) = ng + nm
-    stays in I + M.  If a certificate fails (possible only for torsion hosts,
-    where the face argument is not a theorem), a direct bounded-slice
-    construction is used and reported as such.
+    always contains sqrt(I).  Its generators are exact, from generator
+    supports (_support_generators), whatever degree_bound is.
+    Generator-level power certificates (n*g in I) then force candidate
+    subset sqrt(I) globally, since n(g+m) = ng + nm stays in I + M.  If a
+    certificate fails (possible only for torsion hosts, where the face
+    argument is not a theorem), a direct construction on the degree_bound
+    slice is used and reported as such; degree_bound is reported either way.
     """
     if I.pc_host is not None:
         inner = MonoidIdeal(I.host, I.generators)
@@ -256,12 +329,16 @@ class PrimeDecomposition(Record):
 
 def prime_decomposition(I, degree_bound=12):
     """Write a proper radical ideal as an irredundant intersection of primes:
-    complements of the maximal face submonoids disjoint from I, certified
-    exhaustively on the bounded slice."""
+    complements of the maximal face submonoids disjoint from I.  The prime
+    generators are exact (generator supports); the intersection is
+    certified exhaustively on the degree_bound slice.  One slice, covering
+    that certificate and the definitional scan of is_prime, is read before
+    either, so every membership question up to its degree is a lookup."""
     host = I.host
     inner = MonoidIdeal(host, I.generators)
     if not inner.is_proper():
         raise ValueError("prime_decomposition requires a proper ideal")
+    host._slice_data(max(degree_bound, 2 * _DEFINITIONAL_BOUND))
     if not is_radical(inner, degree_bound):
         raise ValueError("prime_decomposition requires a radical ideal")
     avoid = _faces_avoiding(host, inner.generators)
@@ -340,7 +417,9 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
     Face location makes the chain well-defined for any positive host (the
     index is monotone under addition since a proper face has strictly
     smaller dimension); seminormality, which the interior-piece description
-    needs, is only enforced on request.
+    needs, is only enforced on request.  The generators of each I_k are
+    exact (generator supports); degree_bound bounds the slice on which the
+    generated ideal is checked against face location.
     """
     if units_submonoid(M):
         raise ValueError("ideal_filtration requires a positive monoid")

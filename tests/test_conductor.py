@@ -8,6 +8,7 @@ import pytest
 
 from monoidforge.conductor import (
     NumericalSemigroup,
+    OneUnitPresentation,
     abelian_structure,
     conductor_data,
     picard_by_patching,
@@ -277,6 +278,24 @@ def test_picard_and_unit_groups_against_exhaustive_oracle():
             assert [d for _, d in ug.generators] == list(ug.invariants)
             for w, d in ug.generators:
                 assert has_order(d, lambda k: ring.pow(w, k) == ring.one()), (ring.label, w, d)
+
+
+def test_one_unit_element_matches_the_plain_product():
+    """element skips each factor whose exponent is 0 mod the exponent of U_1;
+    the plain product of every g_i^(n_i mod exponent) is the oracle, on
+    exponent vectors of any sign with many zeros and multiples."""
+    rng = random.Random(2113)
+    for gens, q in (([2, 3], 4), ([3, 4, 5], 2), ([2, 7], 3), ([3, 5], 8), ([4, 5, 6, 7], 9)):
+        data = conductor_data(NumericalSemigroup(gens), q)
+        for ring in (data.a_mod, data.b_mod):
+            pres = OneUnitPresentation(ring)
+            e = pres.exponent
+            for _ in range(12):
+                exps = [rng.choice([0, 0, e, -2 * e, rng.randrange(-3 * e, 3 * e)]) for _ in pres.gens]
+                want = ring.one()
+                for g, n in zip(pres.gens, exps):
+                    want = ring.mul(want, ring.pow(g, n % e))
+                assert pres.element(exps) == want, (gens, q, ring.label, exps)
 
 
 def test_picard_past_the_enumeration_wall():

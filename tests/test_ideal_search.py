@@ -1,14 +1,21 @@
 """The generator search of the ideal layer against its former per-element
-form, the facet masks read off slice witnesses against the projection to
-the torsion quotient, and a ceiling on membership calls.
+form and against brute force over generator subsets, the facet masks read
+off slice witnesses against the projection to the torsion quotient, and a
+ceiling on membership calls.
 
 `oracle_predicate_ideal_generators` and the `oracle_*` predicates are the
 former `ideals._predicate_ideal_generators` and the predicates of `radical`,
 `prime_decomposition` and `ideal_filtration`, copied verbatim: each
 difference is decided by `member` and each facet mask by `tq.project`.
+`oracle_subset_generators` is the support argument with no pruning: the
+minimal elements among the predicate's sums over every generator subset.
 """
 
+import json
+import os
+import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +33,7 @@ from monoidforge.ideals import (
     _radical_candidate,
     ideal_filtration,
     prime_decomposition,
+    radical,
 )
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid, ideal_contains, member, smash
@@ -93,6 +101,23 @@ def oracle_at_least_k(M, k):
     return at_least_k
 
 
+def oracle_subset_generators(host, pred):
+    """Minimal elements of {sum of S : S a nonempty generator subset, pred}:
+    c is dropped when c - d lies in the host for another such sum d."""
+    amb, gens = host.ambient, host.generators
+    sums = set()
+    for n in range(1, len(gens) + 1):
+        for subset in combinations(gens, n):
+            x = amb.zero()
+            for g in subset:
+                x = amb.add(x, g)
+            if pred(x):
+                sums.add(x)
+    return sorted(
+        c for c in sums if not any(d != c and member(host, amb.sub(c, d)).is_yes for d in sums)
+    )
+
+
 def outcome(search, host, pred, bound):
     try:
         return ("generators", search(host, pred, bound))
@@ -114,10 +139,30 @@ def positive_monoids(draw):
 @settings(max_examples=60, deadline=None)
 @given(positive_monoids(), st.integers(1, 5), st.data())
 def test_generator_search_matches_oracle(host, bound, data):
+    """The mask predicates' generators are exact: they equal the subset
+    oracle, and the former search at bound sum deg(g), above which no
+    minimal generator lies (each is the sum of a generator subset).
+
+    Where the former search decides at the drawn bound, it gives the exact
+    generators of degree <= bound, and the same answer whenever no exact
+    generator lies above its lookahead window; one that does is missed, as
+    in I_3 of <(0,1),(2,0)> at bound 1 (see the test below).  Where it
+    raises, the exact search still answers."""
+    degree = host.degree
+    total = sum(degree(g) for g in host.generators)
+    band = max(degree(g) for g in host.generators)
+
     def compare(new_pred, old_pred):
         got = outcome(_predicate_ideal_generators, host, new_pred, bound)
+        assert got[0] == "generators"
+        exact = got[1]
+        assert exact == oracle_subset_generators(host, old_pred)
+        assert got == outcome(oracle_predicate_ideal_generators, host, old_pred, total)
         want = outcome(oracle_predicate_ideal_generators, host, old_pred, bound)
-        assert got == want
+        if want[0] == "generators":
+            assert want[1] == [g for g in exact if degree(g) <= bound]
+            if all(degree(g) <= bound + band for g in exact):
+                assert got == want
 
     amb, gens = host.ambient, host.generators
     coeffs = st.tuples(*[st.integers(0, 2)] * len(gens)).filter(any)
@@ -135,8 +180,72 @@ def test_generator_search_matches_oracle(host, bound, data):
         compare(_outside_face(host, f), oracle_outside_face(host, f))
     for k in range(1, len(faces)):
         compare(_face_index_at_least(host, k), oracle_at_least_k(host, k))
-    # a predicate that ignores the witness, as the radical's fallback does
-    compare(lambda x, witness: I.member(x).is_yes, lambda x: I.member(x).is_yes)
+    # a predicate that ignores the witness, as the radical's fallback does,
+    # keeps the slice search and its certificate at the drawn bound
+    got = outcome(_predicate_ideal_generators, host, lambda x, witness: I.member(x).is_yes, bound)
+    assert got == outcome(oracle_predicate_ideal_generators, host, lambda x: I.member(x).is_yes, bound)
+
+
+def test_lookahead_missed_a_generator_that_supports_find():
+    """In <(0,1),(2,0)>, graded by (1,2), I_3 (the interior) is generated by
+    (2,1) of degree 4.  At bound 1 the former search saw nothing in its
+    lookahead window (degrees 2-3) and returned no generator; the support
+    search finds (2,1) at every bound."""
+    host = CancellativeMonoid(AbelianGroupShape(2), [(0, 1), (2, 0)])
+    assert oracle_predicate_ideal_generators(host, oracle_at_least_k(host, 3), 1) == []
+    chain = ideal_filtration(host, degree_bound=1)
+    assert [list(f.generators) for f in chain] == [[(0, 0)], [(0, 1), (2, 0)], [(0, 1)], [(2, 1)]]
+
+
+P066 = [(1, 1, 0), (1, 2, 0), (1, 2, 2), (2, 0, 2)]
+P2 = [(0, 1, 2), (1, 2, 2), (2, 0, 0), (2, 1, 0)]
+
+
+def test_radical_once_bounded_equals_the_former_search_at_bound_24():
+    """The radical of <(1,1,0),(3,2,4)> in p066 failed its lookahead at
+    bounds 12 and 16; the former search decides it at 24."""
+    host = CancellativeMonoid(AbelianGroupShape(3), P066)
+    I = MonoidIdeal(host, [(1, 1, 0), (3, 2, 4)])
+    want = oracle_predicate_ideal_generators(host, oracle_in_candidate(host, I.generators), 24)
+    for bound in (12, 16, 24):
+        res = radical(I, bound)
+        assert list(res.ideal.generators) == want == [(1, 1, 0), (3, 2, 2), (3, 2, 4)]
+        assert res.bound == bound and res.method == "faces"
+
+
+def run_p2_cli(tmp_path, action, *options):
+    """The JSON results of `monoidforge ideal ACTION p2.json OPTIONS`, in a
+    fresh process."""
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps({"ambient": {"rank": 3, "torsion": []}, "generators": P2}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monoid.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "monoidforge.cli", "--format", "json", "ideal", action, str(path), *options]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)["results"]
+
+
+def test_cli_radical_of_p2_equals_the_former_search_at_bound_40(tmp_path):
+    """`ideal radical p2.json --ideal [[3,3,2]]` exited 1 at the default
+    bound 12; the former search decides it at 40."""
+    host = CancellativeMonoid(AbelianGroupShape(3), P2)
+    want = oracle_predicate_ideal_generators(host, oracle_in_candidate(host, [(3, 3, 2)]), 40)
+    out = run_p2_cli(tmp_path, "radical", "--ideal", "[[3,3,2]]")
+    assert out["generators"] == [list(g) for g in want] == [[2, 2, 2], [3, 2, 2], [3, 3, 2]]
+    assert out["bound"] == 12
+
+
+def test_cli_filtration_of_p2_equals_the_former_search_at_bound_40(tmp_path):
+    """`ideal filtration p2.json` exited 1 at the default bound 12; the
+    former search decides every I_k at 40."""
+    host = CancellativeMonoid(AbelianGroupShape(3), P2)
+    chain = run_p2_cli(tmp_path, "filtration")["chain"]
+    assert len(chain) == len(face_lattice(host))
+    for k, level in enumerate(chain[1:], 1):
+        want = oracle_predicate_ideal_generators(host, oracle_at_least_k(host, k), 40)
+        assert level == {"k": k, "generators": [list(g) for g in want], "degree_bound": 12}
 
 
 def torsion_host(gens, n):
@@ -192,6 +301,19 @@ def test_intersection_certificate_rejects_a_wrong_decomposition(monkeypatch):
     host = CancellativeMonoid(AbelianGroupShape(2), Z2P_GENS)
     with pytest.raises(CertificationError, match=r"intersection certificate fails at \(1, 0\)"):
         prime_decomposition(MonoidIdeal(host, [(2, 0)]))
+
+
+def test_support_search_refuses_past_its_limit(monkeypatch):
+    """A support search that would grow past the limit raises, naming the
+    count.  The interior ideal of Z+^3 grows its three single supports
+    first, and is generated by the sum of all three."""
+    monkeypatch.setattr(ideals, "_SUPPORT_LIMIT", 2)
+    host = CancellativeMonoid(AbelianGroupShape(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    at_least = _face_index_at_least(host, len(face_lattice(host)) - 1)
+    with pytest.raises(ValueError, match=r"ideal support enumeration too large: 3 supports"):
+        _predicate_ideal_generators(host, at_least, 12)
+    monkeypatch.setattr(ideals, "_SUPPORT_LIMIT", 100000)
+    assert _predicate_ideal_generators(host, at_least, 12) == [(1, 1, 1)]
 
 
 def test_filtration_certificate_rejects_missing_generators(monkeypatch):

@@ -5,8 +5,10 @@ tests/data/ideals_golden.json.
 The list covers numerical semigroups, rank 2 and rank 3 positive monoids
 (among them the costliest blocks of the positive-session benchmark pool),
 torsion hosts smash(L, Z/n), a pc host, a host with units, and small
-degree bounds at which the generator search fails its certificate; a
-failure is recorded as its exception class and message.
+degree bounds.  The generators of radicals, primes and filtration ideals
+come from generator supports, so no bound makes their search fail; a small
+bound only shrinks the slices of the certificates, and is reported.  A
+refusal is recorded as its exception class and message.
 
 Regenerate (only when an answer is meant to change) with
     PYTHONPATH=src python tests/test_ideals_golden.py

@@ -369,9 +369,10 @@ print(json.dumps({"searches": searches, "primes": [list(map(list, p.generators))
 
 def test_prime_decomposition_slice_searches_in_a_fresh_process():
     """One prime decomposition in a fresh process runs one slice search, of
-    degree bound + band, that every later lookup reads.  The membership
-    check of the ideal generators searches intervals, not a slice (a slice
-    of degree 2 before)."""
+    degree max(bound, 2 * the definitional bound of is_prime), before its
+    first membership question; every later lookup reads it.  The generators
+    come from supports and read no slice of their own (one of degree
+    bound + band before)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(monoid.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -381,4 +382,4 @@ def test_prime_decomposition_slice_searches_in_a_fresh_process():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"searches": [14], "primes": [[[0, 1, 1], [1, 0, 1]]]}
+    assert report == {"searches": [12], "primes": [[[0, 1, 1], [1, 0, 1]]]}
