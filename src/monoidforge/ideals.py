@@ -3,13 +3,14 @@ and the face filtration of positive seminormal monoids.  The ideals
 themselves are monoid.MonoidIdeal, with its exact membership, which the
 quotients N/I and I_* hold as well.
 
-The radical candidate, the face-complement primes and the filtration
-ideals are exact: each is cut out by the facets vanishing at an element, so
-its generators are sums of generator supports and no degree bound enters
-them.  The degree bound limits only the slice certificates (intersection,
-filtration, the definitional scan of is_prime) and the slice fallback of
-radical; certification failures raise, naming the offending element, rather
-than returning silently.
+The radical, the face-complement primes and the filtration ideals are
+exact: each is cut out by the facets vanishing at an element, so its
+generators are sums of generator supports (_support_generators) and no
+degree bound enters them; the power certificates of the radical are the
+least powers, with no cap.  The degree bound limits only the slice
+certificates (intersection, filtration, the definitional scan of
+is_prime); certification failures raise, naming the offending element,
+rather than returning silently.
 """
 
 from .lattice import Record
@@ -79,62 +80,11 @@ def is_prime(I, definitional_bound=_DEFINITIONAL_BOUND):
     return True
 
 
-def _predicate_ideal_generators(host, pred, bound):
-    """Minimal generators of the ideal {x in M : pred(x, witness)} of a
-    positive monoid M.  A mask predicate (see _mask_predicate) is decided
-    exactly by _support_generators, and bound does not enter.  Any other
-    predicate is searched on the degree <= bound slice, certified by a
-    lookahead window: every predicate element one generator band above the
-    bound must already reduce to the found generators.
-
-    One slice of degree bound + band answers every membership question of
-    the slice search by lookup: each difference x - g it forms has degree at
-    most deg(x), and the slice holds every element of M up to its bound.
-    pred is called with an element and its slice witness, at most once per
-    element.
-    """
-    if host.grading() is None:  # before degree() raises a different message
-        raise ValueError("slice enumeration needs a positive monoid")
-    test = getattr(pred, "mask_test", None)
-    if test is not None:
-        return _support_generators(host, test)
-    gens = host.generators
-    band = max((host.degree(g) for g in gens), default=1)
-    top = bound + band
-    data = host._slice_data(top)
-    entries = data.entries
-    steps = data.minus(gens)
-    known = {}
-
-    def holds(x):
-        ok = known.get(x)
-        if ok is None:
-            ok = known[x] = pred(data.element(x), entries[x][0])
-        return ok
-
-    mins, lookahead = [], []
-    for x in data.sorted_keys(top):
-        if x == data.zero:
-            continue
-        if entries[x][1] > bound:
-            lookahead.append(x)
-        elif holds(x) and not any(holds(y) for y in data.below(x, steps)):
-            mins.append(x)
-    found = [data.element(x) for x in mins]
-    minus = data.minus(found)
-    for x in lookahead:
-        if holds(x) and not data.generated(x, minus):
-            raise CertificationError(
-                f"ideal generator stream not stabilized within degree {bound}: "
-                f"element {data.element(x)} above the bound is not generated"
-            )
-    return found
-
-
 def _support_generators(host, test):
-    """Minimal generators of {x in M : test(mask(x))}, sorted, where mask(x)
-    is the bitset of facets vanishing at the image of x and test holds on
-    every submask of a mask it holds on (so the set is an ideal).
+    """Minimal generators of {x in M : test(mask(x))} for a positive monoid
+    M, sorted, where mask(x) is the bitset of facets vanishing at the image
+    of x and test holds on every submask of a mask it holds on (so the set
+    is an ideal).  Exact: no degree bound enters.
 
     mask(x) is the AND of the generator masks over the support of any
     factorization of x, so x lies in the ideal exactly when the sum of its
@@ -146,6 +96,8 @@ def _support_generators(host, test):
     when c - d lies in M for another sum d, which leaves the unique minimal
     generating set of a positive monoid's ideal.
     """
+    if host.grading() is None:
+        raise ValueError("slice enumeration needs a positive monoid")
     cone = _cone_of(host)
     amb, gens, masks = host.ambient, host.generators, cone.host_masks
     verdict = {}
@@ -187,36 +139,24 @@ def _support_generators(host, test):
     return sorted(found)
 
 
-def _mask_predicate(host, test):
-    """The predicate test(mask) on elements of host, where mask is the bitset
-    of facets vanishing at the image of the element, read off its witness
-    alone; test is kept as mask_test for the exact generator search."""
-    cone = _cone_of(host)
-
-    def pred(x, witness):
-        return test(cone.witness_mask(witness))
-
-    pred.mask_test = test
-    return pred
-
-
 def _radical_candidate(host, ideal_gens):
-    """In every face-complement prime containing the ideal: no face avoiding
-    the ideal contains the element."""
+    """Mask test (see _support_generators), as are the two below: in every
+    face-complement prime containing the ideal, i.e. no face avoiding the
+    ideal contains the element."""
     avoid = [f.normal_mask for f in _faces_avoiding(host, ideal_gens)]
-    return _mask_predicate(host, lambda v: not any(v & need == need for need in avoid))
+    return lambda v: not any(v & need == need for need in avoid)
 
 
 def _outside_face(host, face):
     """Outside the face submonoid: some facet of the face is positive."""
     need = face.normal_mask
-    return _mask_predicate(host, lambda v: v & need != need)
+    return lambda v: v & need != need
 
 
 def _face_index_at_least(host, k):
     """The face whose relative interior holds the element has index >= k."""
     cone = _cone_of(host)
-    return _mask_predicate(host, lambda v: cone.face_of(v).index >= k)
+    return lambda v: cone.face_of(v).index >= k
 
 
 class RadicalResult(Record):
@@ -224,7 +164,7 @@ class RadicalResult(Record):
 
     def __init__(self, ideal, method, bound, power_certificates):
         self.ideal = ideal
-        self.method = method  # "faces" | "slice"
+        self.method = method  # always "faces": the candidate is the radical
         self.bound = bound
         self.power_certificates = power_certificates
 
@@ -239,21 +179,25 @@ class RadicalResult(Record):
         }
 
 
-def radical(I, degree_bound=12, power_bound=64):
-    """sqrt(I) = {x : nx in I for some n > 0}.
+def radical(I, degree_bound=12):
+    """sqrt(I) = {x : nx in I for some n > 0}, exactly.
 
-    Candidate: intersection of the face-complement primes containing I; it
-    always contains sqrt(I).  Its generators are exact, from generator
-    supports (_support_generators), whatever degree_bound is.
-    Generator-level power certificates (n*g in I) then force candidate
-    subset sqrt(I) globally, since n(g+m) = ng + nm stays in I + M.  If a
-    certificate fails (possible only for torsion hosts, where the face
-    argument is not a theorem), a direct construction on the degree_bound
-    slice is used and reported as such; degree_bound is reported either way.
+    Candidate: the intersection of the face-complement primes containing I,
+    i.e. the elements x whose face F (the least face holding x) holds an
+    element y of I; it always contains sqrt(I).  Its generators are exact,
+    from generator supports (_support_generators).  The candidate equals
+    sqrt(I) for every finitely generated cancellative monoid, torsion
+    included: the elements of M that become units in the localization M_x
+    form a face of M holding x, so they hold y, and -y + nx lies in M for
+    some n; then nx lies in y + M, inside I (Bruns-Gubeladze, Polytopes,
+    Rings, and K-Theory, ch. 2).  So each candidate generator g has a least
+    power certificate n with n*g in I (_least_power_in_ideal), and these
+    force the candidate inside sqrt(I), since n(g+m) = ng + nm stays in
+    I + M.  degree_bound does not enter; it is reported.
     """
     if I.pc_host is not None:
         inner = MonoidIdeal(I.host, I.generators)
-        res = radical(inner, degree_bound, power_bound)
+        res = radical(inner, degree_bound)
         wrapped = MonoidIdeal(I.pc_host, res.ideal.generators)
         return RadicalResult(wrapped, res.method, res.bound, res.power_certificates)
     host = I.host
@@ -262,39 +206,33 @@ def radical(I, degree_bound=12, power_bound=64):
     if I.is_empty():
         return RadicalResult(MonoidIdeal(host, []), "faces", degree_bound, {})
     in_candidate = _radical_candidate(host, I.generators)
-    gens = _predicate_ideal_generators(host, in_candidate, degree_bound)
-    certs = {}
-    ok = True
-    for g in gens:
-        n = _power_in_ideal(I, g, power_bound)
-        if n is None:
-            ok = False
-            break
-        certs[g] = n
-    if ok:
-        for g in I.generators:
-            assert in_candidate(g, member(host, g).witness), (
-                f"ideal generator {g} escapes its own radical"
-            )
-        return RadicalResult(MonoidIdeal(host, gens), "faces", degree_bound, certs)
-    # fallback: direct bounded construction {x : nx in I, n <= power_bound}
-    def by_power(x, witness):
-        return member(host, x).is_yes and _power_in_ideal(I, x, power_bound) is not None
-
-    gens = _predicate_ideal_generators(host, by_power, degree_bound)
-    certs = {g: _power_in_ideal(I, g, power_bound) for g in gens}
-    if any(n is None for n in certs.values()):
-        bad = next(g for g, n in certs.items() if n is None)
-        raise CertificationError(f"radical certification failed for element {bad}")
-    return RadicalResult(MonoidIdeal(host, gens), "slice", degree_bound, certs)
+    gens = _support_generators(host, in_candidate)
+    certs = {g: _least_power_in_ideal(I, g) for g in gens}
+    cone = _cone_of(host)
+    for g in I.generators:
+        assert in_candidate(cone.witness_mask(member(host, g).witness)), (
+            f"ideal generator {g} escapes its own radical"
+        )
+    return RadicalResult(MonoidIdeal(host, gens), "faces", degree_bound, certs)
 
 
-def _power_in_ideal(I, x, power_bound):
+def _least_power_in_ideal(I, x):
+    """The least n > 0 with n*x in I, for x in sqrt(I) (so such an n exists,
+    see radical).  n*x in I implies (n+1)*x in I, as x lies in M, so
+    doubling finds a power in I and bisection the least one below it."""
     amb = I.host.ambient
-    for n in range(1, power_bound + 1):
-        if I.member(amb.scale(n, x)).is_yes:
-            return n
-    return None
+
+    def inside(n):
+        return I.member(amb.scale(n, x)).is_yes
+
+    hi = 1
+    while not inside(hi):
+        hi *= 2
+    lo = hi // 2  # 0, or a power known to lie outside I
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
 
 
 def is_radical(I, degree_bound=12):
@@ -352,7 +290,7 @@ def prime_decomposition(I, degree_bound=12):
     primes = []
     for f in maximal:
         comp = face_submonoid(host, f)
-        pgens = _predicate_ideal_generators(host, _outside_face(host, f), degree_bound)
+        pgens = _support_generators(host, _outside_face(host, f))
         P = MonoidIdeal(host, pgens)
         if not is_prime(P):
             raise CertificationError(f"face complement for face {f.index} is not prime")
@@ -425,8 +363,8 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         raise ValueError("ideal_filtration requires a positive monoid")
     if require_seminormal and not is_seminormal(M):
         raise ValueError("ideal_filtration requires a seminormal monoid")
-    faces = face_lattice(M)
-    r = len(faces) - 1
+    cone = _cone_of(M)
+    r = len(face_lattice(M)) - 1
     chain = []
     for k in range(r + 1):
         if k == 0:
@@ -436,13 +374,13 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
             continue
 
         at_least_k = _face_index_at_least(M, k)
-        gens = _predicate_ideal_generators(M, at_least_k, degree_bound)
+        gens = _support_generators(M, at_least_k)
         ideal = MonoidIdeal(M, gens)
         # certify on the slice: the generated ideal matches the predicate
         data = M._slice_data(degree_bound)
         minus = data.minus(ideal.generators)
         for x in data.sorted_keys(degree_bound):
-            want = x != data.zero and at_least_k(None, data.entries[x][0])
+            want = x != data.zero and at_least_k(cone.witness_mask(data.entries[x][0]))
             got = data.generated(x, minus)
             if want != got:
                 raise CertificationError(

@@ -1134,8 +1134,8 @@ def verify_reduced_iso(square, degree_bound=10):
     two, three = tuple(desc["conductor"][0]), tuple(desc["conductor"][1])
     EA = MonoidIdeal(M, [two, three])
     EB = MonoidIdeal(Mb, [two, three])
-    radA = radical(EA, degree_bound=max(degree_bound, 12))
-    radB = radical(EB, degree_bound=max(degree_bound, 12))
+    radA = radical(EA)
+    radB = radical(EB)
     AmodI = square.corner("B1").algebra
     BmodI = square.corner("B2").algebra
     # reduced classes by weight; a key in both corners has the same weight

@@ -1,11 +1,32 @@
 """Checks that only the tests use: definitional cross-checks and square
-properties that no program path needs, kept out of the package."""
+properties that no program path needs, kept out of the package, and the
+runner of the tests that need a fresh process."""
 
+import os
+import subprocess
+import sys
+
+import monoidforge
 from monoidforge.cones import _bits
-from monoidforge.ideals import MonoidIdeal, _predicate_ideal_generators, prime_decomposition
+from monoidforge.ideals import MonoidIdeal, _support_generators, prime_decomposition
 from monoidforge.lattice import rank_of
 from monoidforge.monoid import member
 from monoidforge.squares import build_prime_intersection
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(monoidforge.__file__)))
+
+
+def run_fresh(args, timeout=None, check=False):
+    """`python ARGS` in a fresh process that imports this monoidforge: its
+    source directory goes first on PYTHONPATH.  Returns the completed
+    process, with stdout and stderr as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, timeout=timeout, check=check,
+    )
 
 
 def pointed(cone):
@@ -75,10 +96,7 @@ def build_prime_intersection_from_radical(N, ideal_gens, R, degree_bound=10):
             "the radical ideal is prime: the intersection square needs two primes"
         )
     p = list(dec.primes[0][0].generators)
-    rest = dec.primes[1:]
-    # q = intersection of the remaining primes, as a generated ideal
-    def in_rest(key, witness):
-        return all(P.member(key).is_yes for P, _, _ in rest)
-
-    qgens = _predicate_ideal_generators(N, in_rest, degree_bound)
+    rest = [f.normal_mask for _, _, f in dec.primes[1:]]
+    # q = intersection of the remaining primes: outside every remaining face
+    qgens = _support_generators(N, lambda v: all(v & need != need for need in rest))
     return build_prime_intersection(N, p, qgens, R, degree_bound)

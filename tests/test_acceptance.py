@@ -5,16 +5,13 @@ for slow CI machines by a 3x factor); everything mathematical is exact.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from itertools import product
 
 import pytest
 
-import monoidforge
+from helpers import run_fresh
 from monoidforge.acceptance import CRITERIA, _exhaustive_facet_oracle, run_selftest
 from monoidforge.lattice import primitive, rank_of
 
@@ -44,14 +41,8 @@ def test_selftest_runner_all_pass():
 def test_full_selftest_under_five_minutes():
     """The full selftest in a fresh process, so it pays the import and every
     cold cache, as `monoidforge selftest` does."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(monoidforge.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidforge.cli", "selftest"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = run_fresh(["-m", "monoidforge.cli", "selftest"], timeout=600)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -29,14 +29,12 @@ verification.
 
 import copy
 import json
-import os
 import re
-import subprocess
-import sys
 from itertools import product
 
 import pytest
 
+from helpers import run_fresh
 from monoidforge import algebra, squares
 from monoidforge.algebra import (
     AlgebraElement,
@@ -905,13 +903,7 @@ def test_slice_searches_of_one_verification_in_a_fresh_process(kind, searches, s
     search is a slice of M/U(M) that a corner lists (seven before, when
     membership grew the slices of M/U(M) instead of searching an
     interval)."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(squares.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", VERIFY_SEARCH_COUNT, kind],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh(["-c", VERIFY_SEARCH_COUNT, kind], timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"ok": True, "searches": searches, "scans": scans}

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from helpers import run_fresh
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 CUSP = {"ambient": {"rank": 1, "torsion": []}, "generators": [[2], [3]]}
@@ -25,16 +27,7 @@ def run_cli(args, files=None, tmp_path=None):
             p.write_text(json.dumps(data))
             paths[name] = str(p)
         args = [paths.get(a, a) for a in args]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidforge.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
-    return proc
+    return run_fresh(["-m", "monoidforge.cli", *args], timeout=300)
 
 
 def test_analyze_cusp(tmp_path):

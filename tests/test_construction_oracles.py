@@ -18,13 +18,11 @@ seminormalization.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
+from helpers import run_fresh
 from monoidforge.algebra import AlgebraElement, CancellativeAlgebra
 from monoidforge.closure import (
     ClosureResult,
@@ -355,7 +353,6 @@ def test_seminormalize_and_subintegral_element_match_the_oracles():
     assert nontrivial > 50 and torsion_passes > 5, (nontrivial, torsion_passes)
 
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 SEMINORMALIZE_COUNT = """
 import json
 import monoidforge.closure as cl
@@ -391,12 +388,7 @@ def test_member_calls_of_one_seminormalization_in_a_fresh_process():
     interned, and each candidate is tested (a, then 2a, then 3a) until it
     lies in a stage.  The oracle fixpoint, which tests the whole pool
     against every stage and its last pass twice, makes 1,867 calls."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SEMINORMALIZE_COUNT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh(["-c", SEMINORMALIZE_COUNT], timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"member": 740, "interned": 23, "added": 22}

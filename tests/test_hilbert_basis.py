@@ -17,8 +17,6 @@ list of cones changes) with
 import json
 import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -38,11 +36,11 @@ from monoidforge.lattice import (
 )
 from monoidforge.rings import QQ
 
+from helpers import run_fresh
 from test_lattice import full_cones
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "hilbert_golden.json")
-SRC = os.path.join(HERE, "..", "src")
 
 
 def _box_scan_hilbert_oracle(gens, dim, normals):
@@ -300,10 +298,7 @@ def test_k12_basis_in_a_fresh_process():
         "from monoidforge.closure import hilbert_basis\n"
         f"print(json.dumps([list(h) for h in hilbert_basis({case['gens']!r}, 3)]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = run_fresh(["-c", code], check=True).stdout
     assert json.loads(out) == case["basis"]
 
 

@@ -12,14 +12,12 @@ which now reads the splitting of the torsion quotient.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 from itertools import product
 
 import pytest
 
+from helpers import run_fresh
 from monoidforge.lattice import AbelianGroupShape, _congruence_matrix, solve_integer
 from monoidforge.monoid import (
     COLLAPSED,
@@ -32,8 +30,6 @@ from monoidforge.monoid import (
 )
 from monoidforge.rings import GF
 from monoidforge.squares import build_seminormal_step
-
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +323,10 @@ def test_seminormal_step_refuses_an_element_outside_gp(tmp_path):
         build_seminormal_step(m, (1,), GF(2))
     path = tmp_path / "even.json"
     path.write_text(json.dumps({"ambient": {"rank": 1, "torsion": []}, "generators": [[2]]}))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoidforge.cli", "square", "build", "seminormal-step",
+    proc = run_fresh(
+        ["-m", "monoidforge.cli", "square", "build", "seminormal-step",
          str(path), "--element", "1", "--ring", "F2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        timeout=120,
     )
     assert proc.returncode == 2, proc.stdout
     assert "is not in gp(M)" in proc.stderr
@@ -377,12 +371,7 @@ def test_member_calls_of_one_pc_square_in_a_fresh_process():
     bound 10 asks "key in I" once per key, for the I_* corner and the
     right leg together.  Holding I twice, with an uncached right leg, made
     6 and 237 calls."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", PC_SQUARE_COUNT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh(["-c", PC_SQUARE_COUNT], timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"build": 4, "verify": 87, "cartesian": True}

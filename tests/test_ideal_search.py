@@ -12,14 +12,13 @@ minimal elements among the predicate's sums over every generator subset.
 """
 
 import json
-import os
-import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from helpers import run_fresh
 from monoidforge import ideals, monoid
 from monoidforge.closure import seminormalize
 from monoidforge.cones import _cone_of, face_lattice, face_locate
@@ -29,8 +28,8 @@ from monoidforge.ideals import (
     _face_index_at_least,
     _faces_avoiding,
     _outside_face,
-    _predicate_ideal_generators,
     _radical_candidate,
+    _support_generators,
     ideal_filtration,
     prime_decomposition,
     radical,
@@ -118,16 +117,16 @@ def oracle_subset_generators(host, pred):
     )
 
 
-def outcome(search, host, pred, bound):
+def outcome(search, *args):
     try:
-        return ("generators", search(host, pred, bound))
+        return ("generators", search(*args))
     except CertificationError as exc:
         return ("CertificationError", str(exc))
 
 
 @st.composite
-def positive_monoids(draw):
-    r = draw(st.integers(1, 3))
+def positive_monoids(draw, max_rank=3):
+    r = draw(st.integers(1, max_rank))
     torsion = draw(st.sampled_from([(), (2,), (3,)]))
     amb = AbelianGroupShape(r, torsion)
     tors = st.tuples(*[st.integers(0, d - 1) for d in torsion])
@@ -139,9 +138,9 @@ def positive_monoids(draw):
 @settings(max_examples=60, deadline=None)
 @given(positive_monoids(), st.integers(1, 5), st.data())
 def test_generator_search_matches_oracle(host, bound, data):
-    """The mask predicates' generators are exact: they equal the subset
-    oracle, and the former search at bound sum deg(g), above which no
-    minimal generator lies (each is the sum of a generator subset).
+    """The mask tests' generators are exact: they equal the subset oracle,
+    and the former search at bound sum deg(g), above which no minimal
+    generator lies (each is the sum of a generator subset).
 
     Where the former search decides at the drawn bound, it gives the exact
     generators of degree <= bound, and the same answer whenever no exact
@@ -152,8 +151,8 @@ def test_generator_search_matches_oracle(host, bound, data):
     total = sum(degree(g) for g in host.generators)
     band = max(degree(g) for g in host.generators)
 
-    def compare(new_pred, old_pred):
-        got = outcome(_predicate_ideal_generators, host, new_pred, bound)
+    def compare(new_test, old_pred):
+        got = outcome(_support_generators, host, new_test)
         assert got[0] == "generators"
         exact = got[1]
         assert exact == oracle_subset_generators(host, old_pred)
@@ -180,10 +179,6 @@ def test_generator_search_matches_oracle(host, bound, data):
         compare(_outside_face(host, f), oracle_outside_face(host, f))
     for k in range(1, len(faces)):
         compare(_face_index_at_least(host, k), oracle_at_least_k(host, k))
-    # a predicate that ignores the witness, as the radical's fallback does,
-    # keeps the slice search and its certificate at the drawn bound
-    got = outcome(_predicate_ideal_generators, host, lambda x, witness: I.member(x).is_yes, bound)
-    assert got == outcome(oracle_predicate_ideal_generators, host, lambda x: I.member(x).is_yes, bound)
 
 
 def test_lookahead_missed_a_generator_that_supports_find():
@@ -218,11 +213,8 @@ def run_p2_cli(tmp_path, action, *options):
     fresh process."""
     path = tmp_path / "p2.json"
     path.write_text(json.dumps({"ambient": {"rank": 3, "torsion": []}, "generators": P2}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(monoid.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = [sys.executable, "-m", "monoidforge.cli", "--format", "json", "ideal", action, str(path), *options]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    argv = ["-m", "monoidforge.cli", "--format", "json", "ideal", action, str(path), *options]
+    proc = run_fresh(argv, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)["results"]
 
@@ -311,17 +303,95 @@ def test_support_search_refuses_past_its_limit(monkeypatch):
     host = CancellativeMonoid(AbelianGroupShape(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     at_least = _face_index_at_least(host, len(face_lattice(host)) - 1)
     with pytest.raises(ValueError, match=r"ideal support enumeration too large: 3 supports"):
-        _predicate_ideal_generators(host, at_least, 12)
+        _support_generators(host, at_least)
     monkeypatch.setattr(ideals, "_SUPPORT_LIMIT", 100000)
-    assert _predicate_ideal_generators(host, at_least, 12) == [(1, 1, 1)]
+    assert _support_generators(host, at_least) == [(1, 1, 1)]
 
 
 def test_filtration_certificate_rejects_missing_generators(monkeypatch):
     """Drop the first generator of every I_k: I_1 of Z+^2 loses (0,1)."""
-    search = ideals._predicate_ideal_generators
-    monkeypatch.setattr(
-        ideals, "_predicate_ideal_generators", lambda *args: search(*args)[1:]
-    )
+    search = ideals._support_generators
+    monkeypatch.setattr(ideals, "_support_generators", lambda *args: search(*args)[1:])
     host = CancellativeMonoid(AbelianGroupShape(2), Z2P_GENS)
     with pytest.raises(CertificationError, match=r"filtration certificate fails at \(0, 1\) for k=1"):
         ideal_filtration(host)
+
+
+def oracle_power_in_ideal(I, x):
+    """The former `ideals._power_in_ideal` with its cap removed."""
+    amb = I.host.ambient
+    for n in count(1):
+        if I.member(amb.scale(n, x)).is_yes:
+            return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_monoids(max_rank=2), st.data())
+def test_least_power_matches_the_unbounded_loop(host, data):
+    """Each power certificate of the radical is the least n with n*g in I,
+    for ideals generated by multiples k*g of monoid elements, k <= 120.
+    Rank 3 is left out: a power that misses I can exhaust a facet
+    interval of about n^3 elements."""
+    amb, gens = host.ambient, host.generators
+    support = st.lists(st.sampled_from(gens), min_size=1, unique=True)
+    ideal_gens = []
+    for s, k in data.draw(st.lists(st.tuples(support, st.integers(1, 120)), min_size=1, max_size=2)):
+        x = amb.zero()
+        for g in s:
+            x = amb.add(x, g)
+        ideal_gens.append(amb.scale(k, x))
+    I = MonoidIdeal(host, ideal_gens)
+    res = radical(I)
+    assert res.method == "faces"
+    for g in res.ideal.generators:
+        n = res.power_certificates[g]
+        event(f"least power {'<= 2' if n <= 2 else '<= 64' if n <= 64 else '> 64'}")
+        assert n == oracle_power_in_ideal(I, g), (g, I.generators)
+
+
+PAST_THE_FORMER_CAP = [
+    # (ambient, monoid generators, I, sqrt(I), power certificates)
+    (AbelianGroupShape(1), [(1,)], [(100,)], [(1,)], {(1,): 100}),
+    (
+        AbelianGroupShape(1, (2,)), [(1, 0), (1, 1)], [(100, 0)],
+        [(1, 0), (1, 1)], {(1, 0): 100, (1, 1): 100},
+    ),
+    (AbelianGroupShape(2), [(2, 0), (1, 1), (0, 2)], [(80, 80)], [(1, 1)], {(1, 1): 80}),
+]
+
+
+def monoid_file(tmp_path, amb, gens):
+    path = tmp_path / "m.json"
+    ambient = {"rank": amb.free_rank, "torsion": list(amb.torsion)}
+    path.write_text(json.dumps({"ambient": ambient, "generators": gens}))
+    return str(path)
+
+
+@pytest.mark.parametrize("amb, gens, ideal, want, certs", PAST_THE_FORMER_CAP)
+def test_radicals_past_the_former_power_cap(tmp_path, amb, gens, ideal, want, certs):
+    """Each certificate exceeds the former cap of 64 powers, past which
+    radical fell back to a slice search that answered (2), ((2,0),(2,1))
+    and (2,2), labelled "slice"."""
+    res = radical(MonoidIdeal(CancellativeMonoid(amb, gens), ideal))
+    assert list(res.ideal.generators) == want
+    assert res.power_certificates == certs and res.method == "faces"
+    proc = run_fresh([
+        "-m", "monoidforge.cli", "--format", "json", "ideal", "radical",
+        monoid_file(tmp_path, amb, gens), "--ideal", json.dumps(ideal),
+    ], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"] == res.to_json()
+
+
+def test_cli_radical_and_primes_of_100_in_n(tmp_path):
+    """`ideal radical` of (100) in N prints the radical (1); `ideal primes`
+    refuses (100), naming that radical."""
+    path = monoid_file(tmp_path, AbelianGroupShape(1), [(1,)])
+    proc = run_fresh(["-m", "monoidforge.cli", "--format", "json", "ideal", "radical", path,
+                      "--ideal", "[[100]]"], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"generators":[[1]]' in proc.stdout and '"method":"faces"' in proc.stdout
+    proc = run_fresh(["-m", "monoidforge.cli", "ideal", "primes", path, "--ideal", "[[100]]"],
+                     timeout=120)
+    assert proc.returncode == 2
+    assert "its radical is generated by [[1]]" in proc.stderr

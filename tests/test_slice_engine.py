@@ -21,8 +21,8 @@ from monoidforge.ideals import (
     MonoidIdeal,
     _face_index_at_least,
     _outside_face,
-    _predicate_ideal_generators,
     _radical_candidate,
+    _support_generators,
     ideal_filtration,
     is_prime,
     prime_decomposition,
@@ -309,10 +309,15 @@ def test_ideal_lookups_never_alias():
         g0, g1 = host.generators[0], host.generators[-1]
         far = plus(amb, g0, *[g1] * 14)
         I = MonoidIdeal(host, [g0, far])
-        for pred in [_radical_candidate(host, I.generators)] + [
+        cone = cones._cone_of(host)
+        for test in [_radical_candidate(host, I.generators)] + [
             _outside_face(host, f) for f in face_lattice(host)[1:]
-        ] + [_face_index_at_least(host, 1), lambda x, witness: I.member(x).is_yes]:
-            got = _predicate_ideal_generators(host, pred, 8)
+        ] + [_face_index_at_least(host, 1)]:
+            got = _support_generators(host, test)
+
+            def pred(x, witness):
+                return test(cone.witness_mask(witness))
+
             assert got == oracle_ideal_generators(OracleHost(host), pred, 8), gens
         rad = radical(I, degree_bound=8)
         dec = prime_decomposition(rad.ideal, degree_bound=8)
