@@ -184,16 +184,18 @@ def _parallelepiped_points(cols):
     return out
 
 
-def _saturate_cone_lattice(vectors, dim):
+def _saturate_cone_lattice(vectors, dim, cone=None):
     """Generators of cone(vectors) cap Z^dim: Hilbert basis when the cone is
     pointed, otherwise a lattice basis of the (saturated) lineality part plus
     lifted Hilbert basis generators of the pointed quotient.  Cones that do
-    not span Z^dim are first coordinatized in the saturated span lattice."""
+    not span Z^dim are first coordinatized in the saturated span lattice.
+    cone is the (lineality, rays) of the double description of the nonzero
+    vectors when the caller holds it (CancellativeMonoid.cone())."""
     vectors = [tuple(v) for v in vectors if any(v)]
     if dim == 0 or not vectors:
         return []
     # the lineality is empty exactly when the vectors span Z^dim
-    lin, rays, _ = double_description(vectors, dim)
+    lin, rays = cone or double_description(vectors, dim)[:2]
     if lin:
         d = dim - len(lin)
         perp = integer_kernel([list(v) for v in vectors])
@@ -256,8 +258,7 @@ def normalize(M):
         return cached
     amb = M.ambient
     k = amb.free_rank
-    frees = [g[:k] for g in M.generators]
-    sat = _saturate_cone_lattice(frees, k)
+    sat = _saturate_cone_lattice([g[:k] for g in M.generators], k, M.cone())
     new_gens = [tuple(v) + (0,) * len(amb.torsion) for v in sat]
     if M.generators:
         new_gens += [t for t in amb.torsion_elements() if any(t)]

@@ -55,6 +55,10 @@ def _bits(mask):
 class RationalCone:
     """Cone of Mbar with mutually consistent ray and facet descriptions.
 
+    The facet normals are the rays n of M.cone() read on the basis s_j of
+    gp(Mbar) = Z^r that the torsion quotient's section lifts: a generator
+    with image v has free part sum v_j s_j, so n . g = (n . s_j)_j . v.
+
     The generator-facet incidence is kept once as integer bitsets:
     ``gen_mask[j]`` holds the facets vanishing on bar generator j and
     ``facet_mask[i]`` the bar generators lying on facet i.  Every face query
@@ -67,7 +71,8 @@ class RationalCone:
         self.dim = self.tq.rank
         self.bar_gens = list(self.tq.Mbar.generators)
         self.rays = sorted({primitive(g) for g in self.bar_gens})
-        self.normals = M.cone_normals()
+        sections = self.tq._sections
+        self.normals = sorted(primitive([_dot(n, s) for s in sections]) for n in M.cone()[1])
         self.all_facets = (1 << len(self.normals)) - 1
         self.all_gens = (1 << len(self.bar_gens)) - 1
         self.gen_mask = [0] * len(self.bar_gens)
@@ -169,19 +174,22 @@ class RationalCone:
 
 def face_lattice(M):
     """Ordered face list of R+Mbar; F0 is the minimal face, last is the cone."""
-    cone = _cone_of(M)
-    faces = cone.faces()
-    return faces
+    return _cone_of(M).faces()
 
 
-_CONES = {}
+class _CONES:
+    """_CONES.get(M) is the RationalCone in M's cache, or None: the name
+    perfbench/tracing.py reads, holding no state of its own."""
+
+    @staticmethod
+    def get(M):
+        return M._cache.get("rational_cone")
 
 
 def _cone_of(M):
     cone = _CONES.get(M)
     if cone is None:
-        cone = RationalCone(M)
-        _CONES[M] = cone
+        cone = M._cache["rational_cone"] = RationalCone(M)
     return cone
 
 

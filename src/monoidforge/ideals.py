@@ -235,8 +235,8 @@ def _least_power_in_ideal(I, x):
     return hi
 
 
-def is_radical(I, degree_bound=12):
-    return radical(I, degree_bound).ideal.same_as(I)
+def is_radical(I):
+    return radical(I).ideal.same_as(I)
 
 
 class PrimeDecomposition(Record):
@@ -277,7 +277,7 @@ def prime_decomposition(I, degree_bound=12):
     if not inner.is_proper():
         raise ValueError("prime_decomposition requires a proper ideal")
     host._slice_data(max(degree_bound, 2 * _DEFINITIONAL_BOUND))
-    if not is_radical(inner, degree_bound):
+    if not is_radical(inner):
         raise ValueError("prime_decomposition requires a radical ideal")
     avoid = _faces_avoiding(host, inner.generators)
     maximal = [

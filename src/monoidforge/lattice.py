@@ -625,7 +625,8 @@ class SolveResult(Record):
 
 def grading_for(generators, ambient):
     """(w, lineality, normals), read off one double description of the cone
-    of the nonzero free parts in Z^r.
+    of the nonzero free parts in Z^r, the only one per monoid: every facet
+    and unit question reads (lineality, normals) from M.cone().
 
     w is a covector on the free coordinates with w(g) >= 1 for every
     generator, or None when no strictly positive grading exists
@@ -640,14 +641,12 @@ def grading_for(generators, ambient):
     pivots b_j, whatever its part in the lineality.  Their sum w_span is
     > 0 on a generator exactly when some ray is."""
     r = ambient.free_rank
-    frees = [tuple(g[:r]) for g in generators]
-    nonzero = [f for f in frees if any(f)]
-    if any(not any(f) and any(g) for f, g in zip(frees, generators)):
-        return None, [], []
-    if not nonzero:
+    gens = [g for g in generators if any(g)]
+    if not gens:
         return (0,) * r, [], []
+    nonzero = [f for f in (tuple(g[:r]) for g in gens) if any(f)]
     lin, rays, pivots = double_description(nonzero, r)
-    if not all(any(_dot(n, f) > 0 for n in rays) for f in nonzero):
+    if len(nonzero) < len(gens) or not all(any(_dot(n, f) > 0 for n in rays) for f in nonzero):
         return None, lin, rays
     basis = [nonzero[j] for j in pivots]
     span_rank = len(basis)

@@ -28,7 +28,6 @@ from .lattice import (
     _dot,
     clear_denominators,
     diagonal_of,
-    facet_normals,
     field_eliminate,
     grading_for,
     smith_normal_form,
@@ -119,10 +118,17 @@ class CancellativeMonoid:
     def grading(self):
         """Strictly positive integer grading covector, or None."""
         if "grading" not in self._cache:
-            w, lin, normals = grading_for(list(self.generators), self.ambient)
+            w, lin, rays = grading_for(list(self.generators), self.ambient)
             self._cache["grading"] = w
-            self._cache["cone"] = lin, normals
+            self._cache["cone"] = lin, rays
         return self._cache["grading"]
+
+    def cone(self):
+        """(lineality, rays) of the cone of the free parts, from the one
+        double description that grading() runs (see lattice.grading_for).
+        The units, the facet interval, the faces and normalize read it."""
+        self.grading()
+        return self._cache["cone"]
 
     def degree(self, a):
         w = self.grading()
@@ -192,29 +198,16 @@ class CancellativeMonoid:
             self._cache["tq"] = TorsionQuotient(self)
         return self._cache["tq"]
 
-    def cone_normals(self):
-        """Primitive inward facet normals of the cone of Mbar (coordinates of
-        gp(Mbar) = Z^r); none when the cone is a linear space."""
-        if "normals" not in self._cache:
-            tq = self.torsion_quotient()
-            self._cache["normals"] = facet_normals(list(tq.Mbar.generators), tq.rank)
-        return self._cache["normals"]
-
     def unit_generators(self):
         """The generators that are units, from cone geometry: g is a unit
-        exactly when every facet normal of the cone of Mbar vanishes on the
-        image of g (the image lies in the lineality space).  A positively
-        graded monoid has none."""
+        exactly when every facet normal of the cone vanishes on the free
+        part of g (its image lies in the lineality space).  A pure-torsion
+        generator is one; a positively graded monoid has none."""
         if "units" not in self._cache:
-            units = ()
-            if self.grading() is None:
-                normals = self.cone_normals()
-                images = self.torsion_quotient()._bar_images
-                units = tuple(
-                    g for g, v in zip(self.generators, images)
-                    if not any(_dot(n, v) for n in normals)
-                )
-            self._cache["units"] = units
+            _, rays = self.cone()
+            self._cache["units"] = tuple(
+                g for g in self.generators if not any(_dot(n, g) for n in rays)
+            )
         return self._cache["units"]
 
     def unit_quotient(self):
@@ -307,12 +300,6 @@ class GradedSlice:
             for v in vs
             if all(-2 * e <= x <= 2 * e for x, e in zip(v, self._reach))
         ]
-
-    def below(self, key, shifts):
-        """The slice keys among key - v, for the v of shifts (from minus) in
-        their order; key is a slice key or a key from key()."""
-        entries, t = self.entries, key % self.order
-        return [y for y in (key + s[t] for s in shifts) if y in entries]
 
     def generated(self, key, shifts):
         """Whether key - v is a slice element for some v of shifts."""
@@ -703,9 +690,9 @@ def _graded_member(M, a):
 class FacetInterval:
     """Membership in a positive monoid M by a breadth-first search over the
     interval {p in M : n.p <= n.a for every facet normal n} of the target a,
-    with the normals and the lineality that M.grading() read off its double
-    description.  A target off the span of the generators (some lineality
-    vector is nonzero on it) or outside their cone is not in M.
+    with the normals and the lineality of M.cone().  A target off the span
+    of the generators (some lineality vector is nonzero on it) or outside
+    their cone is not in M.
 
     Every prefix p of a factorization of a has a - p in M, so the interval
     holds every path to a; the search takes the generators in the order of
@@ -732,7 +719,7 @@ class FacetInterval:
 
     def __init__(self, M):
         amb = M.ambient
-        self._lin, self._normals = M._cache["cone"]
+        self._lin, self._normals = M.cone()
         self._gens = M.generators
         self._values = [[_dot(n, g) for n in self._normals] for g in self._gens]
         self._rank, self._torsion = amb.free_rank, amb.torsion
@@ -1024,8 +1011,8 @@ class StarSubmonoid:
     """I_* = I cup {0} as a submonoid of the host.
 
     Not finitely generated in general; exposes exact membership, graded
-    slices, and minimal generators up to a degree bound with an honest
-    completeness flag.
+    slices, and minimal generators up to a degree bound with a flag that
+    is True only when the list has visibly stabilized.
     """
 
     def __init__(self, host, ideal_gens):
@@ -1047,8 +1034,9 @@ class StarSubmonoid:
         """Minimal monoid generators of I_* with degree <= bound.
 
         Returns (generators, complete): x is kept iff x in I \\ (I + I); the
-        flag is False when a minimal element appears in the top degree band,
-        i.e. the stream has not visibly stabilized within the bound.
+        flag is False when a minimal element of I_* or of I (which is one of
+        I_*, as I + I lies in I + (M \\ 0)) is in the top degree band or
+        above, i.e. the stream has not visibly stabilized within the bound.
         """
         elems = self.slice_elements(bound)
         amb = self.host.ambient
@@ -1066,7 +1054,8 @@ class StarSubmonoid:
             if not reducible:
                 mins.append(x)
         band = max((self.host.degree(g) for g in self.host.generators), default=1)
-        complete = all(self.host.degree(x) <= bound - band for x in mins)
+        tops = mins + self.ideal.minimal_generators()
+        complete = all(self.host.degree(x) <= bound - band for x in tops)
         return mins, complete
 
 

@@ -1,9 +1,9 @@
 """Witnesses depend only on the monoid and the element, never on which
 earlier calls filled the caches.
 
-A fresh answer is taken after clearing the interning caches
-(`monoid._INTERN`, `cones._CONES`); a warmed one after other queries on the
-same monoid.  On positive monoids the witness is also checked against a
+A fresh answer is taken after clearing the interning cache
+(`monoid._INTERN`, which holds every per-monoid cache); a warmed one after
+other queries on the same monoid.  On positive monoids the witness is also checked against a
 brute-force rule: the factorization with the fewest generators, and among
 those the lexicographically largest coefficient vector.
 """
@@ -15,7 +15,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from monoidforge import cli, cones, monoid
+from monoidforge import cli, monoid
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid, member
 
@@ -24,7 +24,6 @@ BRUTE_CAP = 4
 
 def reset_caches():
     monoid._INTERN.clear()
-    cones._CONES.clear()
 
 
 def fresh_witness(amb, gens, x):

@@ -289,7 +289,7 @@ def test_prime_decomposition_member_calls_have_a_ceiling(monkeypatch):
 def test_intersection_certificate_rejects_a_wrong_decomposition(monkeypatch):
     """(2,0) in Z+^2 is not radical; let it through the radical test and the
     one prime avoiding it, {a >= 1}, contains (1,0), which (2,0) does not."""
-    monkeypatch.setattr(ideals, "is_radical", lambda I, bound: True)
+    monkeypatch.setattr(ideals, "is_radical", lambda I: True)
     host = CancellativeMonoid(AbelianGroupShape(2), Z2P_GENS)
     with pytest.raises(CertificationError, match=r"intersection certificate fails at \(1, 0\)"):
         prime_decomposition(MonoidIdeal(host, [(2, 0)]))

@@ -21,7 +21,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidforge import algebra, cones, monoid
+from monoidforge import algebra, monoid
 from monoidforge.algebra import (
     CancellativeAlgebra,
     MonomialQuotientAlgebra,
@@ -73,7 +73,6 @@ def monoid_keys_by_weight(M, weight_fn, bound):
 
 def reset_caches():
     monoid._INTERN.clear()
-    cones._CONES.clear()
 
 
 Z1, Z2 = AbelianGroupShape(1), AbelianGroupShape(2)

@@ -199,6 +199,17 @@ def test_star_submonoid():
     assert not s3.contains((1, 0)).is_yes
 
 
+def test_star_generators_below_the_ideal_generators_are_not_complete():
+    """I_* of (3) in N is generated by 3, 4 and 5: a bound below the
+    minimal generator 3 of the ideal lists none of them and must not call
+    that list complete, and neither may a bound that lists 5 in the top
+    band."""
+    s = star_submonoid(M(Z, [(1,)]), [(3,)])
+    assert s.generators_up_to(2) == ([], False)
+    assert s.generators_up_to(5) == ([(3,), (4,), (5,)], False)
+    assert s.generators_up_to(6) == ([(3,), (4,), (5,)], True)
+
+
 def test_smash():
     zp = M(Z, [(1,)])
     trivial = M(AbelianGroupShape(0), [])

@@ -341,7 +341,6 @@ def test_unit_negations_are_computed_on_first_use(monkeypatch):
         UnitQuotient, "_negation", lambda self, j: calls.append(j) or negation(self, j)
     )
     monoid._INTERN.clear()
-    cones._CONES.clear()
     amb = AbelianGroupShape(2)
     M = CancellativeMonoid(amb, [(1, 0), (-1, 0), (0, 1), (1, 1)])
     uq = M.unit_quotient()

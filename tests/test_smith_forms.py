@@ -21,7 +21,7 @@ from itertools import combinations
 
 import pytest
 
-from monoidforge import cones, lattice, monoid
+from monoidforge import lattice, monoid
 from monoidforge.closure import _hilbert_basis, _saturate_cone_lattice, hilbert_basis, normalize
 from monoidforge.lattice import (
     AbelianGroupShape,
@@ -195,9 +195,8 @@ Z3 = AbelianGroupShape(3)
 def count_smith_forms(monkeypatch, run):
     """The Smith forms run makes on fresh monoids: smith_normal_form is
     wrapped wherever a monoidforge module binds it, and the interned
-    monoids and cones are set aside."""
+    monoids, which hold every cache, are set aside."""
     monkeypatch.setattr(monoid, "_INTERN", {})
-    monkeypatch.setattr(cones, "_CONES", {})
     calls = []
     snf = lattice.smith_normal_form
     counted = lambda m: calls.append(m) or snf(m)
@@ -223,12 +222,11 @@ def count_smith_forms(monkeypatch, run):
             id="torsion-quotient",
         ),
         # the kernel of the facet normals and the Smith form of the lineality
-        # basis, one parallelepiped for the Hilbert basis of the quotient,
-        # the torsion quotient behind the cone and the unit quotient behind
-        # minimalize; _negation takes none
+        # basis, one parallelepiped for the Hilbert basis of the quotient
+        # and the unit quotient behind minimalize; _negation takes none
         pytest.param(
             lambda: normalize(CancellativeMonoid(Z2, [(1, 0), (-1, 0), (0, 1)])),
-            5,
+            4,
             id="normalize-lineality",
         ),
         # two kernels and the Smith form of the span basis, then one
