@@ -530,7 +530,7 @@ def _torsion_zero_divisor(ring, M):
     """(x_a - x_b) * sum x_{ia + (n-1-i)b} = x_na - x_nb = 0 when na = nb."""
     alg = CancellativeAlgebra(M, ring)
     amb = M.ambient
-    els = sorted(M.slice(6)) if M.grading() is not None else M.filtered_elements(4)
+    els = M._slice_data(6).elements(6) if M.grading() is not None else M.filtered_elements(4)
     for a in els:
         for b in els:
             if a >= b:

@@ -327,7 +327,7 @@ def _sn_candidate_pool(M):
         bound = 2 * max(
             (F.degree(g[:k]) for g in M.generators if any(g[:k])), default=1
         )
-        pool_free = sorted(set(F.slice(bound)) | set(F.generators))
+        pool_free = sorted(set(F._slice_data(bound).elements(bound)) | set(F.generators))
     tors = amb.torsion_elements()
     out = []
     for v in pool_free:
@@ -462,7 +462,7 @@ def sn_face_structure(M, slice_bound=None):
             slice_bound, sum(nNF.degree(g) for g in nNF.generators)
         )
         interior = [
-            v for v in sorted(nNF.slice(bound)) if interior_member(nNF, v)
+            v for v in nNF._slice_data(bound).elements(bound) if interior_member(nNF, v)
         ]
         piece[f.index] = (nNF, interior)
 
@@ -496,7 +496,7 @@ def sn_face_structure(M, slice_bound=None):
     if set(subgroups[faces[-1].index]) != set(t_elems):
         raise RuntimeError("T at the full cone is not all of t(M)")
     # union equality on the bounded slice, both inclusions
-    sslice = sorted(S.slice(slice_bound))
+    sslice = S._slice_data(slice_bound).elements(slice_bound)
     for x in sslice:
         v = tq.project(x)
         f = next((f for f, nNF in pieces if _in_piece(nNF, v)), None)

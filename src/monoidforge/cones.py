@@ -279,8 +279,8 @@ def is_extremal(M, e_gens):
     pair = None
     if M.grading() is not None:
         bound = 2 * max((M.degree(g) for g in M.generators), default=1) + 2
-        eslice = E.slice(bound) if e_gens else {amb.zero(): ()}
-        for e in sorted(eslice):
+        elems = E._slice_data(bound).elements(bound) if e_gens else [amb.zero()]
+        for e in elems:
             rest = amb.sub(e, offender)
             if member(M, rest).is_yes:
                 pair = (offender, rest)

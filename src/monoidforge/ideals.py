@@ -380,7 +380,7 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         data = M._slice_data(degree_bound)
         minus = data.minus(ideal.generators)
         for x in data.sorted_keys(degree_bound):
-            want = x != data.zero and at_least_k(cone.witness_mask(data.entries[x][0]))
+            want = x != data.zero and at_least_k(cone.witness_mask(data.witness(x)))
             got = data.generated(x, minus)
             if want != got:
                 raise CertificationError(

@@ -4,10 +4,12 @@ quotients, and their structural operations.
 Monoid elements are reduced tuples over the ambient group Z^r x prod Z/d_i;
 the ambient AbelianGroupShape does their coordinate arithmetic.  Membership
 is exact and always ends.  A positive monoid enumerates its elements through
-a strictly positive grading, slice by slice; a slice (GradedSlice) packs its
-elements into integer keys, on which adding a generator is one integer
-addition.  Membership past the cached slice searches only the facet
-interval of the query (FacetInterval), on packed facet slacks.  A
+a strictly positive grading, slice by slice (GradedSlice); membership past
+the cached slice searches only the facet interval of the query
+(FacetInterval).  Both key elements by packed integers, guarded fields (a
+degree slack, facet slacks) over a torsion index, so one breadth-first
+search (_search) with a back-pointer per key serves both, and one walk-back
+(_walk_back) rebuilds a witness.  A
 monoid M with units U = U(M) is reduced to the positive monoid M/U inside
 G/U: a lies in M exactly when its image lies in M/U, and a witness found
 there is lifted back to M through the unit generators (UnitQuotient).
@@ -218,100 +220,107 @@ class CancellativeMonoid:
 
 
 class GradedSlice:
-    """The elements of degree <= bound of a positive monoid M, each with its
-    witness and degree, on packed integer keys.
+    """The elements of degree <= bound of a positive monoid M on packed
+    integer keys, each with the back-pointer its witness is rebuilt from.
 
     An element of degree <= bound is a sum of at most bound generators
-    (every generator has degree >= 1), so its free coordinates lie in the
-    box |x_t| <= e_t = bound * max_g |g_t|.  A key packs the free
-    coordinates, offset by 3 e_t, in mixed radix 6 e_t + 1 (the first
-    coordinate most significant), followed by one index of the torsion
-    coordinates (mixed radix over the moduli).  Keys sort as the tuples do.
-    Adding or subtracting a fixed element v is one integer addition of a
-    shift that depends only on the torsion index: key + shift[key % order].
-    That is exact for every slice element x and every v with |v_t| <= 2 e_t,
-    since x + v then stays in the key box |x_t| <= 3 e_t; an element with a
+    (each of degree >= 1), so its free coordinates lie in the box |x_t| <=
+    e_t = bound * max_g |g_t|.  A key holds, from the top, the free
+    coordinates offset by 3 e_t in mixed radix 6 e_t + 1 (the first most
+    significant), the degree slack bound - deg(x) in a field with a guard
+    bit on top, and the torsion index in the low tbits bits, as in
+    FacetInterval.  The slack is a function of the free part, so keys sort
+    as the tuples do, and key(a) stays one linear expression: -w_t is
+    folded into the place of x_t.  The field is wider than any |slack| on
+    the key box |x_t| <= 3 e_t or one generator step past the slice, so it
+    neither borrows nor carries there, and its guard is set exactly when
+    the degree is at most the bound.  Adding or subtracting a fixed element
+    v is one addition of a shift that depends only on the torsion index:
+    key + shift[key & tmask].  That is exact for a slice element x and
+    |v_t| <= 2 e_t, since x + v stays in the key box; an element with a
     larger coordinate is never the difference of two slice elements.
-    Queries from outside pack through key(a), which gives the key of the
-    reduced element a, or None when a lies outside the box, where no slice
-    element lies, instead of wrapping it onto another key.
+    key(a) gives the key of the reduced element a, or None outside the box,
+    where no slice element lies, instead of wrapping it onto another key.
 
-    entries maps each key to (witness, degree), in the order the search
-    first reached it.
+    entries maps each key, in the order _search first reached it, to the
+    index of the generator of that step (-1 for 0); witness(key) walks the
+    steps back and degree(key) reads the slack.
     """
 
     def __init__(self, M, bound):
-        amb = M.ambient
-        gens = M.generators
-        r = amb.free_rank
+        amb, gens, w = M.ambient, M.generators, M.grading()
+        r, tor = amb.free_rank, amb.torsion
         self.bound = bound
-        self._rank = r
+        self._rank, self._torsion = r, tor
         reach = max(bound, 0)
         self._reach = [reach * max((abs(g[t]) for g in gens), default=0) for t in range(r)]
-        self._torsion = amb.torsion
-        self._torsion_tuples = list(product(*(range(d) for d in amb.torsion)))
-        self.order = len(self._torsion_tuples)
-        places, place = [], self.order
-        for e in reversed(self._reach):
-            places.append(place)
-            place *= 6 * e + 1
-        self._places = places[::-1]
-        self.zero = sum(3 * e * p for e, p in zip(self._reach, self._places))
-        tplaces, place = [], 1
-        for d in reversed(self._torsion):
-            tplaces.append(place)
-            place *= d
-        tplaces.reverse()  # the torsion index is sum t_j * tplaces_j
-        self.key = _key_function(r, len(self._torsion))(
-            self.zero, *(-e for e in self._reach), *self._reach, *self._places, *tplaces
+        self._radix = [6 * e + 1 for e in self._reach]
+        self._torsion_tuples = list(product(*(range(d) for d in tor)))
+        tb = (len(self._torsion_tuples) - 1).bit_length()
+        # |deg| <= 3 * spread on the key box, and a step from the slice
+        # lowers the slack by at most the largest generator degree
+        spread = sum(abs(c) * e for c, e in zip(w, self._reach))
+        sb = (abs(bound) + 3 * spread + max(map(M.degree, gens), default=0)).bit_length()
+        self._tbits, self._tmask, self._low = tb, (1 << tb) - 1, sb + 1 + tb
+        self._guard, self._field, self._top = 1 << sb + tb, (2 << sb) - 1, (1 << sb) + bound
+        places = [prod(self._radix[t + 1:]) << self._low for t in range(r)]
+        self._places = [p - (c << tb) for p, c in zip(places, w)]
+        self.zero = sum(3 * e * p for e, p in zip(self._reach, places)) + (self._top << tb)
+        self.key = _key_function(r, len(tor))(
+            self.zero, *(-e for e in self._reach), *self._reach, *self._places,
+            *(prod(tor[j + 1:]) for j in range(len(tor))),
         )
-        self.entries = _graded_search(
-            bound, [M.degree(g) for g in gens], [self._shift(g) for g in gens], self.zero, self.order
-        )
-        self._sorted = self._elements = None
+        self._steps = list(map(self._shift, gens))
+        self.entries = _search(self.zero, list(enumerate(self._steps)), self._guard, self._tmask)
+        self._back = self._sorted = self._elements = None
 
     def _shift(self, v):
         """Per torsion index, what adding the reduced element v adds to a key."""
         return _torsion_shifts(v[self._rank:], self._torsion, -sum(map(mul, v, self._places)))
 
     def get(self, a):
-        """(witness, degree) of the reduced element a, or None when a is not
-        in the slice."""
+        """The witness of the reduced element a, or None when a is not in
+        the slice."""
         k = self.key(a)
-        return None if k is None else self.entries.get(k)
+        return self.witness(k) if k in self.entries else None
+
+    def witness(self, key):
+        """The witness of the element of a slice key: the path the search
+        first reached it by, walked back."""
+        if self._back is None:
+            self._back = _inverse_shifts(self._steps, self._tmask)
+        return _walk_back(self.entries, key, self._back, self._tmask)
+
+    def degree(self, key):
+        """The degree of the element of a key in the slice's box."""
+        return self._top - (key >> self._tbits & self._field)
 
     def element(self, key):
         """The ambient element of a key."""
-        f, t = divmod(key, self.order)
-        free = []
-        for e in reversed(self._reach):
-            f, c = divmod(f, 6 * e + 1)
+        f, free = key >> self._low, []
+        for e, n in zip(reversed(self._reach), reversed(self._radix)):
+            f, c = divmod(f, n)
             free.append(c - 3 * e)
-        return tuple(free[::-1]) + self._torsion_tuples[t]
+        return tuple(free[::-1]) + self._torsion_tuples[key & self._tmask]
 
     def minus(self, vs):
         """The shifts that subtract each reduced element v of vs from a slice
-        key: key + shift[key % order].  A v with a coordinate beyond twice
+        key: key + shift[key & tmask].  A v with a coordinate beyond twice
         the box is left out, since it is never the difference of two slice
         elements."""
-        r = self._rank
-        return [
-            self._shift(tuple(-x for x in v[:r]) + tuple(-x % d for x, d in zip(v[r:], self._torsion)))
-            for v in vs
-            if all(-2 * e <= x <= 2 * e for x, e in zip(v, self._reach))
-        ]
+        vs = [v for v in vs if all(-2 * e <= x <= 2 * e for x, e in zip(v, self._reach))]
+        return _inverse_shifts(list(map(self._shift, vs)), self._tmask)
 
     def generated(self, key, shifts):
         """Whether key - v is a slice element for some v of shifts."""
-        entries, t = self.entries, key % self.order
+        entries, t = self.entries, key & self._tmask
         return any(key + s[t] in entries for s in shifts)
 
     def _in_order(self):
         """The keys sorted and their degrees, sorted once per slice."""
         if self._sorted is None:
-            entries = self.entries
-            keys = sorted(entries)
-            self._sorted = keys, [entries[k][1] for k in keys]
+            keys = sorted(self.entries)
+            self._sorted = keys, list(map(self.degree, keys))
         return self._sorted
 
     def sorted_keys(self, bound):
@@ -339,8 +348,7 @@ class GradedSlice:
 
     def witnesses(self, bound):
         """Element -> witness for the elements of degree <= bound, sorted."""
-        entries = self.entries
-        return {x: entries[k][0] for k, x, d in zip(*self._unpacked()) if d <= bound}
+        return {x: self.witness(k) for k, x, d in zip(*self._unpacked()) if d <= bound}
 
 
 @lru_cache(maxsize=None)
@@ -373,31 +381,6 @@ def _key_function(rank, ntorsion):
     scope = {}
     exec(compile(src, f"<GradedSlice.key rank {rank} torsion {ntorsion}>", "exec"), scope)
     return scope["make"]
-
-
-def _graded_search(bound, degs, shifts, zero, order):
-    """Key -> (witness, degree) for every sum of generators of degree <=
-    bound, breadth first from zero, in the order first reached."""
-    wit = (0,) * len(degs)
-    entries = {zero: (wit, 0)}
-    frontier = [(zero, wit, 0)]
-    moves = list(zip(range(len(degs)), degs, shifts))
-    while frontier:
-        new = []
-        for key, coeffs, d in frontier:
-            t = key % order
-            for i, dg, shift in moves:
-                nd = d + dg
-                if nd <= bound:
-                    nxt = key + shift[t]
-                    if nxt not in entries:
-                        wit = list(coeffs)
-                        wit[i] += 1
-                        wit = tuple(wit)
-                        entries[nxt] = (wit, nd)
-                        new.append((nxt, wit, nd))
-        frontier = new
-    return entries
 
 
 class TorsionQuotient:
@@ -683,7 +666,7 @@ def _graded_member(M, a):
         return interval.member(a)
     hit = cached.get(a)
     if hit is not None:
-        return Membership("yes", hit[0])
+        return Membership("yes", hit)
     return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
 
 
@@ -695,9 +678,10 @@ class FacetInterval:
     their cone is not in M.
 
     Every prefix p of a factorization of a has a - p in M, so the interval
-    holds every path to a; the search takes the generators in the order of
-    the slice search and stops at the first reach, so the witness is the
-    slice's.  The grading is a positive multiple of the sum of the normals
+    holds every path to a; the search (_search, the slice's) takes the
+    generators in the same order and stops at the first reach of a, so the
+    path it records, walked back by _walk_back, is the slice's witness.
+    The grading is a positive multiple of the sum of the normals
     on the span, so the interval lies in the slice of degree deg(a).
 
     An element p is keyed by its slacks n_i.(a - p), which fix its free part
@@ -709,7 +693,8 @@ class FacetInterval:
     from a key with every guard set then borrows across no field, and the
     step stays in the interval exactly when every guard is still set.  A
     generator that does not fit at p = 0 never fits, so it is left out.  a
-    is reached at slack 0 with its own torsion index.  Answers are kept per
+    is reached at slack 0 with its own torsion index; the walk back adds F
+    again and turns the torsion index back.  Answers are kept per
     target, since interior_member and face_locate ask again what member
     asked; the memo is emptied when it holds ANSWERS_KEPT of them, so an
     interned monoid keeps no more than that.
@@ -723,6 +708,7 @@ class FacetInterval:
         self._gens = M.generators
         self._values = [[_dot(n, g) for n in self._normals] for g in self._gens]
         self._rank, self._torsion = amb.free_rank, amb.torsion
+        self._tplaces = [prod(amb.torsion[j + 1:]) for j in range(len(amb.torsion))]
         self._tbits = (prod(amb.torsion) - 1).bit_length()
         self._widths = [max(v).bit_length() for v in zip(*self._values)]
         self._pack()
@@ -747,6 +733,7 @@ class FacetInterval:
         self._shifts = [
             _torsion_shifts(g[r:], self._torsion, f) for g, f in zip(self._gens, self._packed)
         ]
+        self._back = None
 
     def member(self, a):
         """The Membership of the nonzero reduced element a, memoized."""
@@ -772,33 +759,24 @@ class FacetInterval:
         if any(map(ge, top, self._limits)):
             self._widths = [max(w, s.bit_length()) for s, w in zip(top, self._widths)]
             self._pack()
-        tb, guard, r, tor = self._tbits, self._guard, self._rank, self._torsion
+        tb, guard, r = self._tbits, self._guard, self._rank
         tmask = (1 << tb) - 1
         start = sum(map(lshift, top, self._offsets)) << tb | guard
-        goal = guard | _torsion_index(a[r:], tor)
+        goal = guard | sum(map(mul, a[r:], self._tplaces))
         moves = [(i, sh) for i, sh in enumerate(self._shifts) if (start + sh[0]) & guard == guard]
-        seen = _interval_search(start, goal, guard, moves, tmask)
-        if seen is None:
+        seen = _search(start, moves, guard, tmask, goal)
+        if goal not in seen:
             return None
-        # walk back from a, undoing each recorded step and its torsion part
-        coeffs = [0] * len(self._gens)
-        key, t = goal, a[r:]
-        while key != start:
-            i = seen[key]
-            coeffs[i] += 1
-            key += self._packed[i]
-            if tor:
-                t = tuple((y - z) % d for y, z, d in zip(t, self._gens[i][r:], tor))
-                key += _torsion_index(t, tor) - (key & tmask)
-        return tuple(coeffs)
+        if self._back is None:
+            self._back = _inverse_shifts(self._shifts, tmask)
+        return _walk_back(seen, goal, self._back, tmask)
 
 
-def _interval_search(start, goal, guard, moves, tmask):
-    """Key -> index of the last generator for the keys reached breadth first
-    from start, up to the first reach of goal, or None when goal is not
-    reached.  The low bits tmask of a key hold its torsion index t, and a
-    move (index, shifts) adds shifts[t]; a step is kept while every guard
-    bit is set."""
+def _search(start, moves, guard, tmask, goal=None):
+    """Key -> index of the generator of the step that first reached it (-1
+    for start), breadth first from start in the order first reached, up to
+    the first reach of goal if one is given.  A move (index, shifts) adds
+    shifts[key & tmask] and is kept while every guard bit is set."""
     seen = {start: -1}
     frontier = [start]
     while frontier:
@@ -813,25 +791,41 @@ def _interval_search(start, goal, guard, moves, tmask):
                         return seen
                     new.append(nxt)
         frontier = new
-    return None
+    return seen
 
 
-def _torsion_index(t, torsion):
-    """The index of a reduced torsion part: mixed radix over the moduli,
-    the last one fastest."""
-    index = 0
-    for y, d in zip(t, torsion):
-        index = index * d + y
-    return index
+def _inverse_shifts(tables, tmask):
+    """The tables of the steps back.  A step by table s from torsion index
+    t lands on index (t + s[t]) & tmask, since s[t] changes the rest of the
+    key by a multiple of tmask + 1; the step back from there adds -s[t]."""
+    back = [table[:] for table in tables]
+    for table, inv in zip(tables, back):
+        for t, s in enumerate(table):
+            inv[(t + s) & tmask] = -s
+    return back
+
+
+def _walk_back(seen, key, back, tmask):
+    """The coefficient vector of the path _search recorded to key, undone
+    step by step through back, the _inverse_shifts of its tables (one per
+    generator)."""
+    coeffs = [0] * len(back)
+    i = seen[key]
+    while i >= 0:
+        coeffs[i] += 1
+        key += back[i][key & tmask]
+        i = seen[key]
+    return tuple(coeffs)
 
 
 def _torsion_shifts(v, torsion, f):
     """Per torsion index t, what adding a reduced torsion part v and
     subtracting f from the rest of a key adds to a key whose low part holds
     t: the index moves to that of t + v.  The one torsion table of both
-    engines: a GradedSlice step adds the packed free part of a generator
-    (f is its negative), a FacetInterval step subtracts its packed facet
-    values."""
+    engines: a GradedSlice step adds the packed free part and degree slack
+    of a generator (f is their negative), a FacetInterval step subtracts
+    its packed facet values; _inverse_shifts turns them into the steps
+    back."""
     table = [0]
     for c, d in zip(v, torsion):
         turned = list(range(c, d)) + list(range(c))
@@ -1028,31 +1022,30 @@ class StarSubmonoid:
 
     def slice_elements(self, bound):
         """Ideal elements of grading degree <= bound (0 excluded)."""
-        return sorted(el for el in self.host.slice(bound) if any(el) and self.ideal.member(el).is_yes)
+        elements = self.host._slice_data(bound).elements(bound)
+        return [el for el in elements if any(el) and self.ideal.member(el).is_yes]
 
     def generators_up_to(self, bound):
         """Minimal monoid generators of I_* with degree <= bound.
 
-        Returns (generators, complete): x is kept iff x in I \\ (I + I); the
-        flag is False when a minimal element of I_* or of I (which is one of
-        I_*, as I + I lies in I + (M \\ 0)) is in the top degree band or
-        above, i.e. the stream has not visibly stabilized within the bound.
+        Returns (generators, complete): for a proper I, x is kept iff x in
+        I \\ (I + I); for I = M (0 in I), I_* = M and the generators are
+        the irreducibles of M.  The flag is False when a minimal element of
+        I_* or of I (which is one of I_*, as I + I lies in I + (M \\ 0)) is
+        in the top degree band or above, i.e. the stream has not visibly
+        stabilized within the bound.
         """
-        elems = self.slice_elements(bound)
-        amb = self.host.ambient
-        mins = []
-        for x in elems:
-            reducible = False
-            for g in self.ideal_gens:
-                for h in self.ideal_gens:
-                    rest = amb.sub(amb.sub(x, g), h)
-                    if member(self.host, rest).is_yes:
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if not reducible:
-                mins.append(x)
+        host, amb = self.host, self.host.ambient
+        if self.ideal.is_proper():
+            mins = [
+                x for x in self.slice_elements(bound)
+                if not any(
+                    member(host, amb.sub(amb.sub(x, g), h)).is_yes
+                    for g, h in product(self.ideal_gens, repeat=2)
+                )
+            ]
+        else:
+            mins = [g for g in _irreducible_generators(host) if host.degree(g) <= bound]
         band = max((self.host.degree(g) for g in self.host.generators), default=1)
         tops = mins + self.ideal.minimal_generators()
         complete = all(self.host.degree(x) <= bound - band for x in tops)
@@ -1149,7 +1142,7 @@ def _irreducible_generators(M):
     data = M._slice_data(max(degs))
     return [
         g for g, d in zip(gens, degs)
-        if not any(e < d and data.get(amb.sub(g, h)) for h, e in zip(gens, degs))
+        if not any(e < d and data.key(amb.sub(g, h)) in data.entries for h, e in zip(gens, degs))
     ]
 
 

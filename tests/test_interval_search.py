@@ -67,8 +67,7 @@ def slice_witness(M, a):
     data = _SLICES.get(M)
     if data is None or data.bound < d:
         data = _SLICES[M] = GradedSlice(M, d)
-    hit = data.get(a)
-    return None if hit is None else hit[0]
+    return data.get(a)
 
 
 def searched(M, a):

@@ -180,8 +180,10 @@ def test_one_search_per_monoid_and_weight(monkeypatch):
     """After keys_upto(B), every smaller bound of every algebra on the same
     monoid and weight reads the kept list: no search and no box scan."""
     searches, scans = [], []
-    search = monoid._graded_search
-    monkeypatch.setattr(monoid, "_graded_search", lambda *a: searches.append(a[0]) or search(*a))
+    build = monoid.GradedSlice.__init__
+    monkeypatch.setattr(
+        monoid.GradedSlice, "__init__", lambda S, M, b: searches.append(b) or build(S, M, b)
+    )
     scan = CancellativeMonoid.filtered_elements
     monkeypatch.setattr(
         CancellativeMonoid, "filtered_elements", lambda M, b: scans.append(b) or scan(M, b)

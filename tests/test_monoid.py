@@ -210,6 +210,18 @@ def test_star_generators_below_the_ideal_generators_are_not_complete():
     assert s.generators_up_to(6) == ([(3,), (4,), (5,)], True)
 
 
+def test_star_generators_of_the_whole_monoid():
+    """I = M (0 is an ideal generator) makes I_* = M, which the
+    irreducibles of M generate; the reducibility test x - g - h in M holds
+    for every x once g = h = 0, so it cannot list them."""
+    s = star_submonoid(M(Z, [(1,)]), [(0,)])
+    assert s.generators_up_to(6) == ([(1,)], True)
+    assert s.generators_up_to(1) == ([(1,)], False)
+    s2 = star_submonoid(M(Z2, [(1, 0), (0, 1)]), [(0, 0), (1, 1)])
+    assert s2.generators_up_to(4) == ([(0, 1), (1, 0)], True)
+    assert s2.generators_up_to(0) == ([], False)
+
+
 def test_smash():
     zp = M(Z, [(1,)])
     trivial = M(AbelianGroupShape(0), [])

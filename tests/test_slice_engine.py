@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -185,7 +186,7 @@ def test_packed_search_matches_tuple_oracle(M, bound):
     # the same elements, first reached in the same order, with the same
     # witnesses and degrees
     assert [S.element(k) for k in S.entries] == list(want)
-    assert list(S.entries.values()) == list(want.values())
+    assert [(S.witness(k), S.degree(k)) for k in S.entries] == list(want.values())
     assert all(S.key(x) == k for k, x in zip(S.entries, want))
     # sorting keys sorts the tuples
     assert [S.element(k) for k in sorted(S.entries)] == sorted(want)
@@ -224,6 +225,31 @@ def probes(M, bound, elements):
     return [amb.reduce(y) for y in out]
 
 
+def heavy(M, bound, elements):
+    """Points of the box of the bound-slice with degree in (bound, 3 bound]:
+    slice elements moved along a coordinate t, in the direction in which
+    the degree w_t x_t rises, as far as the box allows, each also with a
+    torsion coordinate turned.  The guard of the degree slack must reject
+    their keys without matching another element."""
+    amb = M.ambient
+    r = amb.free_rank
+    w = M.grading()
+    box = reach(M, bound)
+    out = []
+    for x in elements[:6] + elements[-6:]:
+        for t in range(r):
+            if not w[t]:
+                continue
+            step = unit(amb, t, 1 if w[t] > 0 else -1)
+            y = amb.add(x, step)
+            while abs(y[t]) <= box[t] and M.degree(y) <= 3 * bound:
+                if M.degree(y) > bound:
+                    out.append(y)
+                    out += [plus(amb, y, unit(amb, r + j)) for j in range(len(amb.torsion))]
+                y = amb.add(y, step)
+    return [amb.reduce(y) for y in out]
+
+
 @settings(max_examples=80, deadline=None)
 @given(positive_monoids(max_rank=3), st.integers(0, 6))
 def test_lookups_never_alias(M, bound):
@@ -233,8 +259,16 @@ def test_lookups_never_alias(M, bound):
     S = GradedSlice(M, bound)
     elements = sorted(want)
     targets = probes(M, bound, elements)
-    for y in targets + elements:
-        assert S.get(y) == want.get(y), y
+    r, box = amb.free_rank, reach(M, bound)
+    corners = [  # where |deg| is largest on the box
+        amb.reduce(tuple(c * e for c, e in zip(signs, box)) + (0,) * len(amb.torsion))
+        for signs in product((-1, 1), repeat=r)
+    ]
+    for y in targets + elements + heavy(M, bound, elements) + corners:
+        assert S.get(y) == want.get(y, (None,))[0], y
+        k = S.key(y)
+        if k is not None:  # the slack field neither borrows nor carries
+            assert (S.element(k), S.degree(k)) == (y, M.degree(y)), y
     # x - v for every slice element x, the box edge included, and v among
     # the generators, the slice elements and the probes
     vs = list(M.generators) + elements[:4] + elements[-4:] + targets[::3]
@@ -363,8 +397,8 @@ from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid
 
 searches = []
-search = monoid._graded_search
-monoid._graded_search = lambda *args: searches.append(args[0]) or search(*args)
+build = monoid.GradedSlice.__init__
+monoid.GradedSlice.__init__ = lambda self, M, bound: searches.append(bound) or build(self, M, bound)
 M = CancellativeMonoid(AbelianGroupShape(3), [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 dec = prime_decomposition(MonoidIdeal(M, [(1, 0, 1), (0, 1, 1)]))
 print(json.dumps({"searches": searches, "primes": [list(map(list, p.generators)) for p, _, _ in dec.primes]}))
@@ -387,3 +421,35 @@ def test_prime_decomposition_slice_searches_in_a_fresh_process():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"searches": [12], "primes": [[[0, 1, 1], [1, 0, 1]]]}
+
+
+SLICE_MEMORY = """
+import json
+import tracemalloc
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid, GradedSlice
+
+M = CancellativeMonoid(AbelianGroupShape(4), [(1, i, i * i, i ** 3) for i in range(6)])
+M.grading()
+tracemalloc.start()
+S = GradedSlice(M, 150)
+print(json.dumps({"elements": len(S.entries), "bytes": tracemalloc.get_traced_memory()[0]}))
+"""
+
+
+def test_slice_holds_a_back_pointer_per_element_in_a_fresh_process():
+    """A slice keeps one generator index per element, not a witness tuple
+    and a degree: the 11,925 elements of degree <= 150 on the moment curve
+    <(1, i, i^2, i^3) : i < 6> hold fewer than 180 traced bytes each (a
+    witness tuple per element held about 240)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monoid.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SLICE_MEMORY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["elements"] == 11925
+    assert report["bytes"] < 180 * report["elements"], report
