@@ -22,7 +22,7 @@ from .monoid import (
     rank,
     units_submonoid,
 )
-from .cones import face_lattice, face_locate, interior_member
+from .cones import _cone_of, face_lattice
 from .closure import is_normal, is_seminormal, normalize, seminormalize
 from .ideals import (
     CertificationError,
@@ -185,11 +185,12 @@ def cmd_faces(args):
 def cmd_interior(args):
     m = _require_cancellative(load_monoid(args.monoid), "interior")
     a = parse_vector(args.element)
-    res = member(m, a)
-    if not res.is_yes:
+    if not member(m, a).is_yes:
         raise UsageError(f"element {list(a)} is not in the monoid")
-    inside = interior_member(m, a)
-    face = face_locate(m, a)
+    cone = _cone_of(m)
+    mask = cone.element_mask(a)
+    inside = mask == 0
+    face = cone.face_of(mask)
     report = {
         "results": {
             "element": list(a),

@@ -3,7 +3,11 @@ interiors, and the disjoint face-interior decomposition.
 
 All face data lives in the coordinates of gp(Mbar) = Z^r supplied by the
 torsion quotient; torsion is projected away first and reattached by callers.
+Which facets vanish at an element of gp(M) is read on its ambient
+coordinates (RationalCone.element_mask), with no projection.
 """
+
+from operator import itemgetter, mul
 
 from .lattice import primitive, rank_of
 from .monoid import CancellativeMonoid, _dot, member
@@ -59,6 +63,10 @@ class RationalCone:
     gp(Mbar) = Z^r that the torsion quotient's section lifts: a generator
     with image v has free part sum v_j s_j, so n . g = (n . s_j)_j . v.
 
+    The rays of M.cone() behind the normals, covectors on the ambient free
+    coordinates, are kept in the order of the sorted normals, and
+    element_mask reads the facets vanishing at an element of gp(M) off
+    them, with no projection.
     The generator-facet incidence is kept once as integer bitsets:
     ``gen_mask[j]`` holds the facets vanishing on bar generator j and
     ``facet_mask[i]`` the bar generators lying on facet i.  Every face query
@@ -72,7 +80,12 @@ class RationalCone:
         self.bar_gens = list(self.tq.Mbar.generators)
         self.rays = sorted({primitive(g) for g in self.bar_gens})
         sections = self.tq._sections
-        self.normals = sorted(primitive([_dot(n, s) for s in sections]) for n in M.cone()[1])
+        facets = sorted(
+            ((primitive([_dot(n, s) for s in sections]), n) for n in M.cone()[1]),
+            key=itemgetter(0),
+        )
+        self.normals = [normal for normal, _ in facets]
+        self._covectors = [(1 << i, n) for i, (_, n) in enumerate(facets)]
         self.all_facets = (1 << len(self.normals)) - 1
         self.all_gens = (1 << len(self.bar_gens)) - 1
         self.gen_mask = [0] * len(self.bar_gens)
@@ -86,22 +99,28 @@ class RationalCone:
                     self.facet_mask[i] |= 1 << j
             on = [list(self.bar_gens[j]) for j in _bits(self.facet_mask[i])]
             assert rank_of(on) == self.dim - 1, "facet not supported by generators"
-        # vanishing masks of the host's own generators, in M.generators order
-        self.host_masks = [self.vanishing_mask(v) for v in self.tq._bar_images]
+        # element masks of the host's own generators, in M.generators order
+        self.host_masks = list(map(self.element_mask, M.generators))
+        self._face_at = {}  # element mask -> face, filled by face_of
 
-    def vanishing_mask(self, v):
-        """Bitset of the facet normals vanishing at the point v (Mbar coords)."""
+    def element_mask(self, x):
+        """Bitset of the facets vanishing at the element x of gp(M): bit i is
+        set when the ray n_i of M.cone() behind normals[i] has n_i . x = 0
+        on the free coordinates.  Exact: for x in gp(M),
+        n_i . x = c_i (normals[i] . project(x)) with c_i > 0, the gcd that
+        primitive divides out."""
         m = 0
-        for i, n in enumerate(self.normals):
-            if _dot(n, v) == 0:
-                m |= 1 << i
+        for bit, n in self._covectors:
+            if not sum(map(mul, n, x)):
+                m |= bit
         return m
 
     def witness_mask(self, witness):
-        """Bitset of the facet normals vanishing at the image of the element
-        with coefficient vector witness over M.generators: the facets
-        vanishing on every generator it uses.  Exact, since a normal n has
-        n . pi(x) = sum c_i n . pi(g_i) with every term >= 0."""
+        """The element mask of the element with coefficient vector witness
+        over M.generators: the facets vanishing on every generator it uses.
+        Exact, since a ray n has n . x = sum c_i n . g_i with every term
+        >= 0.  Faster than element_mask on a slice key, which would first
+        be unpacked."""
         m = self.all_facets
         for c, v in zip(witness, self.host_masks):
             if c:
@@ -164,12 +183,16 @@ class RationalCone:
     def face_of(self, mask):
         """The face whose relative interior contains the points at which
         exactly the facets of mask vanish: the one whose generators are
-        those on every such facet."""
-        gm = self.all_gens
-        for i in _bits(mask):
-            gm &= self.facet_mask[i]
-        self.faces()
-        return self._face_by_gens[gm]
+        those on every such facet.  Kept per mask; the mask of a point is
+        the normal mask of its face, so there are at most #faces of them."""
+        face = self._face_at.get(mask)
+        if face is None:
+            gm = self.all_gens
+            for i in _bits(mask):
+                gm &= self.facet_mask[i]
+            self.faces()
+            face = self._face_at[mask] = self._face_by_gens[gm]
+        return face
 
 
 def face_lattice(M):
@@ -195,11 +218,10 @@ def _cone_of(M):
 
 def face_locate(M, a):
     """The unique face whose relative interior contains the image of a."""
-    res = member(M, a)
-    if not res.is_yes:
+    if not member(M, a).is_yes:
         raise ValueError(f"{a} is not an element of the monoid")
     cone = _cone_of(M)
-    return cone.face_of(cone.vanishing_mask(cone.tq.project(a)))
+    return cone.face_of(cone.element_mask(a))
 
 
 def interior_member(M, a):
@@ -208,12 +230,9 @@ def interior_member(M, a):
     Decided by face geometry (no facet of R+Mbar vanishes at the image of a);
     equivalent to the definitional form for elements of M.
     """
-    res = member(M, a)
-    if not res.is_yes:
+    if not member(M, a).is_yes:
         raise ValueError(f"{a} is not an element of the monoid")
-    cone = _cone_of(M)
-    v = cone.tq.project(a)
-    return cone.vanishing_mask(v) == 0
+    return _cone_of(M).element_mask(a) == 0
 
 
 def face_submonoid(M, face):
@@ -248,7 +267,7 @@ def is_extremal(M, e_gens):
     # minimal face containing all generator images
     vanish = cone.all_facets
     for g in e_gens:
-        vanish &= cone.vanishing_mask(cone.tq.project(g))
+        vanish &= cone.element_mask(g)
     on_face = [v & vanish == vanish for v in cone.host_masks]
     face_gens = [g for g, on in zip(M.generators, on_face) if on]
     E = CancellativeMonoid(amb, e_gens)

@@ -36,7 +36,7 @@ def _faces_avoiding(host, ideal_gens):
     deeper intersection down to a generator)."""
     cone = _cone_of(host)
     faces = face_lattice(host)
-    gen_vanish = [cone.vanishing_mask(cone.tq.project(g)) for g in ideal_gens]
+    gen_vanish = list(map(cone.element_mask, ideal_gens))
     return [
         f for f in faces if not any(v & f.normal_mask == f.normal_mask for v in gen_vanish)
     ]
@@ -61,7 +61,7 @@ def is_prime(I, definitional_bound=_DEFINITIONAL_BOUND):
         if not I.member(g).is_yes:
             vanish &= v
     for g in I.generators:
-        if cone.vanishing_mask(cone.tq.project(g)) & vanish == vanish:
+        if cone.element_mask(g) & vanish == vanish:
             return False
     if definitional_bound and host.grading() is not None:
         # one slice covers every sum x + y of the scan, so membership is a
@@ -210,7 +210,7 @@ def radical(I, degree_bound=12):
     certs = {g: _least_power_in_ideal(I, g) for g in gens}
     cone = _cone_of(host)
     for g in I.generators:
-        assert in_candidate(cone.witness_mask(member(host, g).witness)), (
+        assert in_candidate(cone.element_mask(g)), (
             f"ideal generator {g} escapes its own radical"
         )
     return RadicalResult(MonoidIdeal(host, gens), "faces", degree_bound, certs)

@@ -59,6 +59,31 @@ class Membership(Record):
         return self.is_yes
 
 
+class _SliceHit(Membership):
+    """A "yes" read off a cached slice.  It keeps the slice and the key and
+    walks the witness back only when .witness is first read, since most
+    callers read only is_yes.  repr and == are those of
+    Membership("yes", witness)."""
+
+    def __init__(self, data, key):
+        self.status, self.note, self._hit = "yes", "", (data, key)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the unread witness
+        if name != "witness":
+            raise AttributeError(name)
+        data, key = self._hit
+        del self._hit
+        self.witness = witness = data.witness(key)
+        return witness
+
+    def __eq__(self, other):
+        return Membership("yes", self.witness) == other
+
+    def __repr__(self):
+        return repr(Membership("yes", self.witness))
+
+
 _INTERN = {}
 
 
@@ -398,7 +423,6 @@ class TorsionQuotient:
         if not gens:
             self.rank = 0
             self.Mbar = CancellativeMonoid(AbelianGroupShape(0), [])
-            self._bar_images = []
             self._sections = []
             return
         # lattice spanned by the free parts, basis from the Smith form
@@ -411,9 +435,7 @@ class TorsionQuotient:
         self.rank = r
         self._U = U
         self._diag = diag[:r]
-        bar_gens = [self.project(g) for g in gens]
-        self._bar_images = bar_gens
-        self.Mbar = CancellativeMonoid(AbelianGroupShape(r), bar_gens)
+        self.Mbar = CancellativeMonoid(AbelianGroupShape(r), [self.project(g) for g in gens])
         # section: basis vector j is A times column j of V, so it lifts to
         # the combination of the generators, torsion data included, with
         # the coefficients of that column
@@ -625,12 +647,15 @@ def member(M, a):
 
     A positive monoid looks a up in its cached slice when that covers
     deg(a), and otherwise searches the facet interval of a (FacetInterval),
-    which grows no slice; both give the same witness.  A caller with many
-    queries up to one degree can build M._slice_data(degree) first to have
-    them answered by lookup (closure.seminormalize relies on this).  A
-    monoid with units answers through the positive monoid M/U(M), and its
-    witness is lifted back to M and checked in the ambient group.  The
-    answer is "yes" with a witness, or "no", which is a proof.
+    which grows no slice; both give the same witness.  A slice hit walks
+    its witness back only when .witness is first read (_SliceHit); an
+    interval search walks it back at once, and its answers are memoized
+    (FacetInterval.member).  A caller with many queries up to one degree
+    can build M._slice_data(degree) first to have them answered by lookup
+    (closure.seminormalize relies on this).  A monoid with units answers
+    through the positive monoid M/U(M), and its witness is lifted back to
+    M at once and checked in the ambient group.  The answer is "yes" with
+    a witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the
@@ -642,16 +667,28 @@ def member(M, a):
     if M.grading() is not None:
         return _graded_member(M, a)
     uq = M.unit_quotient()
-    res = _graded_member(uq.quotient, uq.project(a))
+    res = _graded_lookup(uq.quotient, uq.project(a))
+    if res.__class__ is tuple:
+        data, key = res
+        return Membership("yes", uq.lift(a, data.witness(key)))
     if not res.is_yes:
         return Membership("no", note=f"image outside M/U: {res.note}")
     return Membership("yes", uq.lift(a, res.witness))
 
 
 def _graded_member(M, a):
-    """Membership of a reduced element in a positive monoid: a lookup in the
-    cached slice when it covers deg(a), otherwise the interval search of
-    M's FacetInterval, made on first use."""
+    """Membership of a reduced element in a positive monoid (_graded_lookup),
+    a slice hit answered by a _SliceHit."""
+    res = _graded_lookup(M, a)
+    return _SliceHit(*res) if res.__class__ is tuple else res
+
+
+def _graded_lookup(M, a):
+    """A lookup in the cached slice of the positive monoid M when it covers
+    deg(a), otherwise the interval search of M's FacetInterval, made on
+    first use.  A slice hit gives the pair (slice, key) its witness is
+    walked back from, every other answer a Membership: member's unit path
+    lifts every witness, so it walks a hit back at once."""
     amb = M.ambient
     if a == amb.zero():
         return Membership("yes", (0,) * len(M.generators))
@@ -659,15 +696,17 @@ def _graded_member(M, a):
         return Membership("no", note="trivial monoid")
     cache = M._cache
     cached = cache.get("slice")
-    if cached is None or cached.bound < M.degree(a):
-        interval = cache.get("interval")
-        if interval is None:
-            interval = cache["interval"] = FacetInterval(M)
-        return interval.member(a)
-    hit = cached.get(a)
-    if hit is not None:
-        return Membership("yes", hit)
-    return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
+    if cached is not None:
+        # a key in the slice has degree <= its bound, so a hit needs no degree
+        key = cached.key(a)
+        if key in cached.entries:
+            return cached, key
+        if cached.bound >= M.degree(a):
+            return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
+    interval = cache.get("interval")
+    if interval is None:
+        interval = cache["interval"] = FacetInterval(M)
+    return interval.member(a)
 
 
 class FacetInterval:

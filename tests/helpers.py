@@ -9,7 +9,7 @@ import sys
 import monoidforge
 from monoidforge.cones import _bits
 from monoidforge.ideals import MonoidIdeal, _support_generators, prime_decomposition
-from monoidforge.lattice import rank_of
+from monoidforge.lattice import _dot, rank_of
 from monoidforge.monoid import member
 from monoidforge.squares import build_prime_intersection
 
@@ -36,10 +36,20 @@ def pointed(cone):
     return rank_of([list(n) for n in cone.normals]) == cone.dim
 
 
+def vanishing_mask(cone, v):
+    """Bitset of the facet normals of a RationalCone vanishing at the point
+    v (Mbar coords): the oracle of RationalCone.element_mask on project(x)."""
+    m = 0
+    for i, n in enumerate(cone.normals):
+        if _dot(n, v) == 0:
+            m |= 1 << i
+    return m
+
+
 def vanishing_set(cone, v):
     """Indices of the facet normals of a RationalCone vanishing at the point
     v (Mbar coords)."""
-    return _bits(cone.vanishing_mask(v))
+    return _bits(vanishing_mask(cone, v))
 
 
 def interior_member_definitional(M, a, n_bound=24):

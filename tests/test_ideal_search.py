@@ -1,7 +1,9 @@
 """The generator search of the ideal layer against its former per-element
-form and against brute force over generator subsets, the facet masks read
-off slice witnesses against the projection to the torsion quotient, and a
-ceiling on membership calls.
+form and against brute force over generator subsets, the facet masks
+(`RationalCone.element_mask` and `witness_mask`) against the mask of the
+projection to the torsion quotient (`helpers.vanishing_mask`), on positive
+hosts, hosts with torsion and hosts with units, and a ceiling on
+membership calls.
 
 `oracle_predicate_ideal_generators` and the `oracle_*` predicates are the
 former `ideals._predicate_ideal_generators` and the predicates of `radical`,
@@ -13,12 +15,12 @@ minimal elements among the predicate's sums over every generator subset.
 
 import json
 import sys
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from helpers import run_fresh
+from helpers import run_fresh, vanishing_mask
 from monoidforge import ideals, monoid
 from monoidforge.closure import seminormalize
 from monoidforge.cones import _cone_of, face_lattice, face_locate
@@ -78,7 +80,7 @@ def oracle_in_candidate(host, ideal_gens):
     def in_candidate(x):
         if not member(host, x).is_yes:
             return False
-        v = cone.vanishing_mask(cone.tq.project(x))
+        v = vanishing_mask(cone, cone.tq.project(x))
         return not any(v & need == need for need in avoid)
 
     return in_candidate
@@ -88,7 +90,7 @@ def oracle_outside_face(host, face):
     cone = _cone_of(host)
 
     def outside_face(x, need=face.normal_mask):
-        return cone.vanishing_mask(cone.tq.project(x)) & need != need
+        return vanishing_mask(cone, cone.tq.project(x)) & need != need
 
     return outside_face
 
@@ -246,10 +248,14 @@ def torsion_host(gens, n):
 
 
 def assert_masks_match_projection(host, bound):
+    """The element mask, read on ambient coordinates, equals the mask of
+    the projection to gp(Mbar) and the mask of the witness, at every slice
+    element."""
     cone = _cone_of(host)
     for x, witness in host.slice(bound).items():
         mask = cone.witness_mask(witness)
-        assert mask == cone.vanishing_mask(cone.tq.project(x)), (host, x, witness)
+        assert mask == vanishing_mask(cone, cone.tq.project(x)), (host, x, witness)
+        assert cone.element_mask(x) == mask, (host, x)
         assert cone.face_of(mask) is face_locate(host, x)
 
 
@@ -262,6 +268,37 @@ def test_witness_masks_on_torsion_hosts():
 @given(positive_monoids())
 def test_witness_masks_match_projection(host):
     assert_masks_match_projection(host, 6)
+
+
+UNIT_HOSTS = [
+    (AbelianGroupShape(2), [(1, 0), (-1, 0), (0, 1)]),
+    (AbelianGroupShape(2, (2,)), [(1, 0, 1), (-1, 0, 1), (0, 1, 0)]),
+    (AbelianGroupShape(3), [(1, 1, 0), (-1, -1, 0), (0, 1, 2), (2, 0, 1), (0, 0, 1)]),
+    (AbelianGroupShape(2, (3,)), [(0, 0, 1), (1, 0, 0), (1, 2, 2), (0, 1, 1)]),
+    (AbelianGroupShape(1, (2,)), [(2, 0), (-3, 0), (0, 1)]),
+]
+
+
+@pytest.mark.parametrize("amb, gens", UNIT_HOSTS)
+def test_element_masks_on_hosts_with_units(amb, gens):
+    """On hosts with units, where no slice exists, the element mask of every
+    sum of at most three generators equals the mask of its projection, of
+    its coefficient vector and of the witness member lifts for it."""
+    host = CancellativeMonoid(amb, gens)
+    assert host.grading() is None
+    cone = _cone_of(host)
+    n = len(host.generators)
+    for coeffs in product(range(3), repeat=n):
+        if sum(coeffs) > 3:
+            continue
+        x = amb.zero()
+        for c, g in zip(coeffs, host.generators):
+            x = amb.add(x, amb.scale(c, g))
+        mask = cone.element_mask(x)
+        assert mask == vanishing_mask(cone, cone.tq.project(x)), (gens, x)
+        assert mask == cone.witness_mask(coeffs), (gens, x, coeffs)
+        assert mask == cone.witness_mask(member(host, x).witness), (gens, x)
+        assert cone.face_of(mask) is face_locate(host, x)
 
 
 def test_prime_decomposition_member_calls_have_a_ceiling(monkeypatch):

@@ -81,7 +81,7 @@ def former_unit_generators(M):
     tq = M.torsion_quotient()
     normals = facet_normals(list(tq.Mbar.generators), tq.rank)
     return tuple(
-        g for g, v in zip(M.generators, tq._bar_images) if not any(_dot(n, v) for n in normals)
+        g for g in M.generators if not any(_dot(n, tq.project(g)) for n in normals)
     )
 
 
