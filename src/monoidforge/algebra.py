@@ -40,6 +40,16 @@ class MonoidAlgebraBase:
     def keys_upto(self, bound):
         raise NotImplementedError
 
+    def keys_and_levels(self, bound):
+        """The key list of the monoid and weight that keys_upto reads, kept
+        for some bound >= bound, and the level of each key, before this
+        algebra's predicates: keys_upto(d) is the keys of level <= d that
+        keeps, in this order."""
+        raise NotImplementedError
+
+    def keeps(self, key):
+        raise NotImplementedError
+
     def contains_key(self, key):
         raise NotImplementedError
 
@@ -69,6 +79,8 @@ class MonoidAlgebraBase:
     def _listed_monomial(self, key, coeff=1):
         """monomial without the membership check, for a key that keys_upto
         of this algebra has listed."""
+        if coeff == 1:
+            return AlgebraElement(self, {key: self.ring.one()})
         return self.elem([(key, coeff)])
 
     def __repr__(self):
@@ -87,12 +99,19 @@ def monoid_keys_by_weight(M, weight_fn, bound):
     """
     if bound < 0:
         return []
+    keys, levels = monoid_keys_and_levels(M, weight_fn, bound)
+    return [k for k, level in zip(keys, levels) if level <= bound]
+
+
+def monoid_keys_and_levels(M, weight_fn, bound):
+    """The key list that monoid_keys_by_weight keeps for M and weight_fn,
+    computed for bound when none is kept for bound or more, and the level
+    of each key."""
     lists = M._cache.setdefault("key_lists", {})
     cached = lists.get(weight_fn)
     if cached is None or cached[0] < bound:
         cached = lists[weight_fn] = (bound, *_keys_and_levels(M, weight_fn, bound))
-    _, keys, levels = cached
-    return [k for k, level in zip(keys, levels) if level <= bound]
+    return cached[1], cached[2]
 
 
 def _keys_and_levels(M, weight_fn, bound):
@@ -170,6 +189,12 @@ class MonomialQuotientAlgebra(MonoidAlgebraBase):
         keys = monoid_keys_by_weight(self.M, self._custom, bound)
         return keys if self._kill is None else [k for k in keys if not self._kill(k)]
 
+    def keys_and_levels(self, bound):
+        return monoid_keys_and_levels(self.M, self._custom, bound)
+
+    def keeps(self, key):
+        return self._kill is None or not self._kill(key)
+
     def contains_key(self, key):
         return member(self.M, key).is_yes and (self._kill is None or not self._kill(key))
 
@@ -220,6 +245,12 @@ class MonomialSubsetAlgebra(MonoidAlgebraBase):
 
     def keys_upto(self, bound):
         return [k for k in self.ambient.keys_upto(bound) if self._contains(k)]
+
+    def keys_and_levels(self, bound):
+        return self.ambient.keys_and_levels(bound)
+
+    def keeps(self, key):
+        return self.ambient.keeps(key) and self._contains(key)
 
     def contains_key(self, key):
         return self.ambient.contains_key(key) and self._contains(key)

@@ -24,7 +24,7 @@ from .lattice import (
 )
 from .rings import QQ
 from .monoid import CancellativeMonoid, member, minimalize, units_submonoid
-from .cones import _bits, bar_face_submonoid, face_lattice, interior_member
+from .cones import _bits, _cone_of, bar_face_submonoid, face_lattice
 
 
 class ClosureResult(Record):
@@ -461,9 +461,8 @@ def sn_face_structure(M, slice_bound=None):
         bound = max(
             slice_bound, sum(nNF.degree(g) for g in nNF.generators)
         )
-        interior = [
-            v for v in nNF._slice_data(bound).elements(bound) if interior_member(nNF, v)
-        ]
+        mask = _cone_of(nNF).element_mask
+        interior = [v for v in nNF._slice_data(bound).elements(bound) if not mask(v)]
         piece[f.index] = (nNF, interior)
 
     subgroups = {}
@@ -529,4 +528,4 @@ def _in_piece(nNF, v):
     """Whether v (in Mbar coordinates) lies in the piece Int(nNF)."""
     if not nNF.generators:
         return not any(v)
-    return member(nNF, v).is_yes and interior_member(nNF, v)
+    return member(nNF, v).is_yes and not _cone_of(nNF).element_mask(v)

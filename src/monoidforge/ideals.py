@@ -15,7 +15,7 @@ rather than returning silently.
 
 from .lattice import Record
 from .monoid import Membership, MonoidIdeal, PcMonoid, member, units_submonoid
-from .cones import _cone_of, face_lattice, face_locate, face_submonoid
+from .cones import _cone_of, face_lattice, face_submonoid
 from .closure import is_seminormal
 
 
@@ -332,8 +332,9 @@ class FiltrationIdeal(Record):
     def member(self, x):
         if not member(self.host, x).is_yes:
             return Membership("no")
+        cone = _cone_of(self.host)
         return Membership(
-            "yes" if face_locate(self.host, x).index >= self.k else "no"
+            "yes" if cone.face_of(cone.element_mask(x)).index >= self.k else "no"
         )
 
     @property

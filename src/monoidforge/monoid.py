@@ -303,12 +303,6 @@ class GradedSlice:
         """Per torsion index, what adding the reduced element v adds to a key."""
         return _torsion_shifts(v[self._rank:], self._torsion, -sum(map(mul, v, self._places)))
 
-    def get(self, a):
-        """The witness of the reduced element a, or None when a is not in
-        the slice."""
-        k = self.key(a)
-        return self.witness(k) if k in self.entries else None
-
     def witness(self, key):
         """The witness of the element of a slice key: the path the search
         first reached it by, walked back."""

@@ -106,22 +106,27 @@ class CartesianReport(Record):
 
 
 def make_key_map(dst_algebra, key_fn):
-    """Linear extension of key -> key | None into dst."""
+    """Linear extension of key -> key | None into dst.  key_fn must be pure:
+    the image of each key is computed once and kept."""
+    R = dst_algebra.ring
+    zero = fast_zero(R)
+    images = {}
 
     def fn(elem):
-        R = dst_algebra.ring
         out = {}
         for k, c in elem.coeffs.items():
-            kk = key_fn(k)
+            kk = images.get(k, images)
+            if kk is images:
+                kk = images[k] = key_fn(k)
             if kk is None:
                 continue
             if kk in out:
                 out[kk] = R.add(out[kk], c)
             else:
                 out[kk] = c
-        return AlgebraElement(
-            dst_algebra, {k: c for k, c in out.items() if not R.is_zero(c)}
-        )
+        if zero in out.values():
+            out = {k: c for k, c in out.items() if c != zero}
+        return AlgebraElement(dst_algebra, out)
 
     return fn
 
@@ -165,19 +170,18 @@ def verify_cartesian(square, degree_bound=10, elementwise_budget=512):
     Each corner's algebra, a span corner's through its ambient, is asked
     for its keys up to the bound once, before the walk.  Its monoid keeps
     that one key list with the level of each key
-    (algebra.monoid_keys_by_weight), so every truncation, of the monomial
-    corners and of the span corners built on those algebras, is read off
-    it by level instead of searching the monoid again.  Fiber
-    elements are enumerated with the lift and its two wanted images kept as
-    running sums, which change by one relation's images per changed
-    coefficient; every lift is still mapped by top and left and compared
-    with both.
+    (algebra.monoid_keys_by_weight), so no truncation searches the monoid
+    again.  A monomial corner reads the list by level: each degree hands
+    the walk only its new keys, and the algebra's predicates run only on
+    the levels the walk reaches.  A span corner calls its basis function
+    at every degree.  Fiber elements are enumerated with the lift and its
+    two wanted images kept as running sums, which change by stored
+    multiples of one relation's images per changed coefficient; every lift
+    is still mapped by top and left, once, and compared with both.
     """
     _check_bound(degree_bound)
     R = square.ring
-    walk = _CartesianWalk(square, elementwise_budget)
-    for T in walk.corners:
-        T.corner.ambient.keys_upto(degree_bound)
+    walk = _CartesianWalk(square, degree_bound, elementwise_budget)
     per_degree = []
     for d in range(degree_bound + 1):
         entry, failure = walk.step(d)
@@ -204,31 +208,55 @@ def _kernel_vector(F, j, expr):
 
 
 class _Truncations:
-    """The truncations of one corner.  Each basis element is built once and
-    numbered in order of first appearance; monomials are keyed by their
-    monomial key, span elements by their coefficients."""
+    """The truncations of one corner up to a bound, asked for degree by
+    degree from 0.  Each basis element is built once and numbered in order
+    of first appearance.  A monomial corner reads its monoid's key list by
+    level: degree d keeps the keys of level d that the algebra keeps, so its
+    predicates run on the levels reached, and its truncations are nested.
+    A span corner calls its basis function at every degree, and its
+    elements are keyed by their coefficients."""
 
-    def __init__(self, corner):
+    def __init__(self, name, corner, bound):
+        self.name = name
         self.corner = corner
         self.elems = []
+        self._prev = set()  # the numbers of the last span truncation
         self._number = {}
+        # a span corner's basis function reads the list of its ambient
+        keys, levels = corner.ambient.keys_and_levels(bound)
+        if corner.monomial:
+            self._levels = [[] for _ in range(bound + 1)]
+            for k, level in zip(keys, levels):
+                if level <= bound:
+                    self._levels[max(level, 0)].append(k)
+            self._reached = -1
 
     def upto(self, d):
-        """Numbers of the basis of truncation d, in its order."""
+        """(numbers of the basis of truncation d, in its order; those not
+        in the truncation asked for before; whether that one lies in it).
+        A span basis that repeats an element raises ValueError."""
         c = self.corner
         if c.monomial:
-            sigs, elems = c.algebra.keys_upto(d), None
-        else:
-            elems = c.basis_upto(d)
-            sigs = [frozenset(e.coeffs.items()) for e in elems]
+            alg, start = c.algebra, len(self.elems)
+            for level in range(self._reached + 1, d + 1):
+                self.elems += [alg._listed_monomial(k) for k in self._levels[level] if alg.keeps(k)]
+            self._reached = max(self._reached, d)
+            return range(len(self.elems)), range(start, len(self.elems)), True
         out = []
-        for i, s in enumerate(sigs):
+        for e in c.basis_upto(d):
+            s = frozenset(e.coeffs.items())
             n = self._number.get(s)
             if n is None:
                 n = self._number[s] = len(self.elems)
-                self.elems.append(c.algebra._listed_monomial(s) if elems is None else elems[i])
+                self.elems.append(e)
             out.append(n)
-        return out
+        now = set(out)
+        if len(now) != len(out):
+            raise ValueError(
+                f"corner {self.name} ({c.name}) repeats a basis element at degree {d}"
+            )
+        prev, self._prev = self._prev, now
+        return out, [n for n in out if n not in prev], prev <= now
 
     def combine(self, coeffs, size):
         """The element sum coeffs[n] * basis element n, or None for an empty
@@ -308,12 +336,14 @@ class _Coordinates:
 class _CartesianWalk:
     """State of verify_cartesian carried from one degree to the next."""
 
-    def __init__(self, square, elementwise_budget):
+    def __init__(self, square, degree_bound, elementwise_budget):
         self.square = square
         self.R = R = square.ring
         self.budget = elementwise_budget
         self.field = R.is_field()
-        self.corners = [_Truncations(square.corner(n)) for n in ("A1", "A2", "B1")]
+        self.corners = [
+            _Truncations(n, square.corner(n), degree_bound) for n in ("A1", "A2", "B1")
+        ]
         self.top, self.left, self.right, self.bottom = {}, {}, {}, {}
         if not self.field:
             if R.kind.startswith("Z/"):
@@ -328,7 +358,7 @@ class _CartesianWalk:
         their images: the next degree is walked as one whole truncation."""
         R = self.R
         F = R if self.field else QQ
-        self.prev = None  # numbers of the last truncations walked
+        self.cleared = True
         self.coords = (_Coordinates(R), _Coordinates(R))  # A2, B1
         # [right | -bottom], columns ("a", A2 number) and ("b", B1 number);
         # (top, left), columns A1 numbers, rows the columns of the first
@@ -358,31 +388,23 @@ class _CartesianWalk:
     def step(self, d):
         """(entry, None) for degree d, or (None, (method, witness, note))
         for its first failure."""
-        ids = [T.upto(d) for T in self.corners]
-        sets = [set(i) for i in ids]
-        for name, T, i, s in zip(("A1", "A2", "B1"), self.corners, ids, sets):
-            if len(s) != len(i):
-                raise ValueError(
-                    f"corner {name} ({T.corner.name}) repeats a basis element "
-                    f"at degree {d}"
-                )
-        if self.prev is not None and not all(p <= s for p, s in zip(self.prev, sets)):
+        ids, new, nested = zip(*(T.upto(d) for T in self.corners))
+        if not all(nested):
             self._restart()
-        cleared = self.prev is None
-        entry, failure = self._walk(d, ids, sets)
+        cleared = self.cleared
+        entry, failure = self._walk(d, ids, ids if cleared else new)
         if failure and not cleared and failure[0] not in ("commute", "containment"):
             self._restart()
-            entry, failure = self._walk(d, ids, sets)
+            entry, failure = self._walk(d, ids, ids)
         return entry, failure
 
-    def _walk(self, d, ids, sets):
-        """Degree d from the basis elements not walked yet: (entry, None),
-        or (None, (method, witness, note)) for the first failure."""
+    def _walk(self, d, ids, new):
+        """Degree d from the basis elements new (not walked yet): (entry,
+        None), or (None, (method, witness, note)) for the first failure."""
         R, right, bottom = self.R, self.square.maps["right"], self.square.maps["bottom"]
         A1, A2, B1 = self.corners
-        prev = self.prev or (set(), set(), set())
-        new1, new2, new1p = new = [[n for n in i if n not in p] for i, p in zip(ids, prev)]
-        self.prev = sets
+        new1, new2, new1p = new
+        self.cleared = False
         self.map_basis(new)
         for n in new1:
             if right(self.top[n]) != bottom(self.left[n]):
@@ -549,9 +571,13 @@ class _CartesianWalk:
 
         The coefficient vectors run in the order of product(R.elements()),
         the new relations' coefficients fastest.  The lift and the A2 and B1
-        elements it must map to are running sums: when a coefficient changes
-        by delta, delta times that relation's lift and its A2 and B1 parts
-        are added, so a step costs about one relation, not all of them."""
+        elements it must map to are running sums: when coefficient j
+        changes by delta, relation j's lift and its A2 and B1 parts times
+        delta are added.  Those scaled parts are computed once per relation
+        and nonzero delta, on first use, and the changes between consecutive
+        coefficient vectors of the new relations are found once, so a step
+        only looks up and adds, and the ring multiplications do not grow
+        with the number of fiber elements."""
         R, sq = self.R, self.square
         A1, A2, B1 = self.corners
         n1, n2, n1p = (len(i) for i in ids)
@@ -565,6 +591,8 @@ class _CartesianWalk:
         else:
             fresh = [c for c in product(elems, repeat=f - old)
                      if any(x != zero for x in c)]
+            if not fresh:
+                return None
         parts = []  # per relation: its lift, A2 part and B1 part
         for rel, x in zip(self.relations, self.lifts):
             a2, b1 = self._pair(rel, n2, n1p)
@@ -577,23 +605,44 @@ class _CartesianWalk:
         want_a2 = None if not n2 else AlgebraElement(A2.elems[0].algebra, sums[1])
         want_b1 = None if not n1p else AlgebraElement(B1.elems[0].algebra, sums[2])
         top, left, A1alg = sq.maps["top"], sq.maps["left"], A1.elems[0].algebra
-        fz = fast_zero(R)
+        fz, add, sub = fast_zero(R), R.add, R.sub
+        scaled = [{} for _ in range(f)]  # relation j: delta -> its parts times delta
+
+        def change(j, delta):
+            s = scaled[j].get(delta)
+            if s is None:
+                s = scaled[j][delta] = [{} for _ in parts[j]]
+                for acc, vec in zip(s, parts[j]):
+                    axpy(R, acc, delta, vec, fz)
+            for acc, vec in zip(sums, s):
+                for k, x in vec.items():
+                    if k in acc:
+                        x = add(acc[k], x)
+                        if x == fz:
+                            del acc[k]
+                            continue
+                    acc[k] = x
 
         def move(start, coeffs):
             for j, c in enumerate(coeffs, start):
                 if c != digits[j]:
-                    delta = R.sub(c, digits[j])
+                    change(j, sub(c, digits[j]))
                     digits[j] = c
-                    for acc, vec in zip(sums, parts[j]):
-                        axpy(R, acc, delta, vec, fz)
 
+        # the changes from each coefficient vector of the new relations to
+        # the next, as (relation, delta)
+        steps = [()] + [[(j, sub(b, a)) for j, (a, b) in enumerate(zip(s, t), old) if a != b]
+                        for s, t in zip(fresh, fresh[1:])]
         for head in product(elems, repeat=old):
             move(0, head)
-            for tail in fresh:
-                move(old, tail)
+            move(old, fresh[0])
+            for changes in steps:
+                for j, delta in changes:
+                    change(j, delta)
                 lift = AlgebraElement(A1alg, dict(sums[0]))
                 if top(lift) != want_a2 or left(lift) != want_b1:
                     return want_a2, want_b1
+            digits[old:] = fresh[-1]
         return None
 
 
@@ -989,15 +1038,16 @@ def build_torsion_splitting(L, n_list, R):
         return [B1alg._listed_monomial(key) for key in B1alg.keys_upto(d) if any(key[:p])]
 
     def b_basis(d):  # t^(jn) and the binomials t^(k+n) - t^k, n not dividing k
+        # every power of t lies in B1: t is one of its generators
         out = []
         tkey = lambda j: (0,) * p + (j,) + (0,) * len(prev)
         j = 0
         while j * n <= d:
-            out.append(B1alg.monomial(tkey(j * n)))
+            out.append(B1alg._listed_monomial(tkey(j * n)))
             j += 1
         for k in range(1, d - n + 1):
             if k % n:
-                out.append(B1alg.monomial(tkey(k + n)) - B1alg.monomial(tkey(k)))
+                out.append(B1alg._listed_monomial(tkey(k + n)) - B1alg._listed_monomial(tkey(k)))
         return out
 
     # Lambda corner: span of J-monomials plus the B-binomials in B1 coords

@@ -29,6 +29,13 @@ def run_fresh(args, timeout=None, check=False):
     )
 
 
+def slice_get(data, a):
+    """The witness of the reduced element a in the GradedSlice data, or None
+    when a is not in the slice: the oracle of the slice witness."""
+    k = data.key(a)
+    return data.witness(k) if k in data.entries else None
+
+
 def pointed(cone):
     """Whether a RationalCone is pointed: its facet normals span its space."""
     if cone.dim == 0:

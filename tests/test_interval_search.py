@@ -16,6 +16,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import slice_get
 from monoidforge.cones import _cone_of
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid, FacetInterval, GradedSlice, member
@@ -67,7 +68,7 @@ def slice_witness(M, a):
     data = _SLICES.get(M)
     if data is None or data.bound < d:
         data = _SLICES[M] = GradedSlice(M, d)
-    return data.get(a)
+    return slice_get(data, a)
 
 
 def searched(M, a):

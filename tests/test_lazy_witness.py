@@ -7,11 +7,16 @@ unit-quotient path lifts every witness, so it answers eagerly.
 """
 
 import json
+import os
 
 from helpers import run_fresh
 
 SCRIPT = r"""
 import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from helpers import slice_get
 from monoidforge import monoid
 from monoidforge.cones import face_lattice, face_locate, interior_member
 from monoidforge.lattice import AbelianGroupShape
@@ -48,7 +53,7 @@ for x in xs[::7]:
     w = res.witness
     assert walks[0] == before + 1
     assert res.witness is w and walks[0] == before + 1
-    assert w == data.get(x)
+    assert w == slice_get(data, x)
     eager = Membership("yes", w)
     lazy = member(M, x)
     assert repr(lazy) == repr(eager), (repr(lazy), repr(eager))
@@ -78,7 +83,7 @@ print(json.dumps(out))
 
 
 def test_slice_hits_walk_back_only_when_the_witness_is_read():
-    proc = run_fresh(["-c", SCRIPT], timeout=120)
+    proc = run_fresh(["-c", SCRIPT, os.path.dirname(os.path.abspath(__file__))], timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["queries"] > 50 and out["checked"] > 5, out
