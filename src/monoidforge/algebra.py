@@ -196,7 +196,7 @@ class MonomialQuotientAlgebra(MonoidAlgebraBase):
         return self._kill is None or not self._kill(key)
 
     def contains_key(self, key):
-        return member(self.M, key).is_yes and (self._kill is None or not self._kill(key))
+        return member(self.M, key).is_yes and self.keeps(key)
 
 
 class CancellativeAlgebra(MonomialQuotientAlgebra):
