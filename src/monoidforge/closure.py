@@ -277,7 +277,7 @@ def normalize_in_gp(M):
         return cached
     amb = M.ambient
     tq = M.torsion_quotient()
-    sat = _saturate_cone_lattice(list(tq.Mbar.generators), tq.rank)
+    sat = _saturate_cone_lattice(list(tq.Mbar.generators), tq.rank, tq.Mbar.cone())
     new_gens = [tq.section(v) for v in sat]
     new_gens += [t for t in tq.torsion_elements if any(t)]
     closed = minimalize(CancellativeMonoid(amb, list(M.generators) + new_gens))

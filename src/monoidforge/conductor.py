@@ -102,19 +102,17 @@ class FiniteRingData:
 
     def mul(self, u, v):
         F = self.field
+        zero = F.zero()
         pos = self._pos
-        out = [F.zero()] * len(self.exponents)
-        for i, e1 in enumerate(self.exponents):
-            a = u[i]
-            if F.is_zero(a):
+        out = [zero] * len(self.exponents)
+        vs = [(e, b) for e, b in zip(self.exponents, v) if b != zero]
+        for e1, a in zip(self.exponents, u):
+            if a == zero:
                 continue
-            for j, e2 in enumerate(self.exponents):
-                b = v[j]
-                if F.is_zero(b):
-                    continue
+            for e2, b in vs:
                 e = e1 + e2
                 if e >= self.c:
-                    continue
+                    break  # the exponents ascend
                 k = pos.get(e)
                 assert k is not None, "exponent set not closed under addition"
                 out[k] = F.add(out[k], F.mul(a, b))

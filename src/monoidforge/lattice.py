@@ -401,43 +401,39 @@ def _congruence_matrix(generators, ambient):
     return rows, s
 
 
-def subgroup_kernel(generators, ambient):
-    """Basis of {c in Z^s : sum c_i g_i = 0 in ambient}."""
-    if not generators:
-        return []
-    m, s = _congruence_matrix(generators, ambient)
-    ker = integer_kernel(m)
-    basis = []
-    seen = set()
-    for v in ker:
-        c = tuple(v[:s])
-        if any(c) and c not in seen:
-            seen.add(c)
-            basis.append(c)
-    return basis
-
-
 def subgroup_shape(generators, ambient):
-    """Rank and invariant factors of the subgroup generated inside ambient.
-
-    The subgroup is Z^s / K where K is the relation lattice; its shape is read
-    off the Smith form of a matrix whose columns span K.
-    """
+    """Rank and invariant factors of the subgroup generated inside ambient,
+    read off the Smith form of its congruence matrix (_shape_from_smith)."""
     for g in generators:
         if len(g) != ambient.dim:
             raise ValueError("generator dimension mismatch")
-    s = len(generators)
+    m, s = _congruence_matrix(generators, ambient)
+    return _shape_from_smith(smith_normal_form(m), s)
+
+
+def _shape_from_smith(snf, s):
+    """The shape of the subgroup generated by s generators, from the Smith
+    form (U, D, V) of their congruence matrix [generators | torsion moduli].
+
+    The subgroup is Z^s / K for the relation lattice K = {c : sum c_i g_i =
+    0}: the first s coordinates of the kernel, the columns of V past the
+    nonzero diagonal.  Its shape is read off the Smith form of a matrix
+    whose columns span K."""
     if s == 0:
         return AbelianGroupShape(0, ())
-    rel = subgroup_kernel(generators, ambient)
+    _, D, V = snf
+    diag = diagonal_of(D)
+    rel = []
+    for j in range(len(V)):
+        c = tuple(row[j] for row in V[:s])
+        if (j >= len(diag) or diag[j] == 0) and any(c) and c not in rel:
+            rel.append(c)
     if not rel:
         return AbelianGroupShape(s, ())
     mat = [[v[i] for v in rel] for i in range(s)]  # columns = relations
     _, D, _ = smith_normal_form(mat)
     diag = [d for d in diagonal_of(D) if d != 0]
-    free = s - len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    shape = AbelianGroupShape(free, torsion)
+    shape = AbelianGroupShape(s - len(diag), tuple(d for d in diag if d > 1))
     assert shape.is_canonical_chain()
     return shape
 

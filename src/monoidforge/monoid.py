@@ -13,10 +13,10 @@ search (_search) with a back-pointer per key serves both, and one walk-back
 monoid M with units U = U(M) is reduced to the positive monoid M/U inside
 G/U: a lies in M exactly when its image lies in M/U, and a witness found
 there is lifted back to M through the unit generators (UnitQuotient).
-Membership in gp(M) reads the splitting gp(M) = gp(Mbar) x t(M) of the
-torsion quotient.  MonoidIdeal is the one holder of ideal generators: the
-quotient N/I (PcMonoid), I_* (StarSubmonoid) and the ideals module each
-hold one and ask it.
+Membership in gp(M) is one solve against the Smith form of [generators |
+torsion moduli] that M keeps.  MonoidIdeal is the one holder of ideal
+generators: the quotient N/I (PcMonoid), I_* (StarSubmonoid) and the
+ideals module each hold one and ask it.
 """
 
 from functools import lru_cache
@@ -27,14 +27,15 @@ from operator import ge, lshift, mul
 from .lattice import (
     AbelianGroupShape,
     Record,
+    _congruence_matrix,
     _dot,
+    _shape_from_smith,
     clear_denominators,
     diagonal_of,
     field_eliminate,
     grading_for,
     smith_normal_form,
     solve_smith,
-    subgroup_shape,
 )
 from .rings import QQ
 
@@ -44,12 +45,32 @@ class InconclusiveError(Exception):
 
 
 class Membership(Record):
+    """The answer to "is a in M?": "yes" with a witness over the generators,
+    or "no", which is a proof, with a note.  A "yes" made by _deferred
+    holds the function that computes its witness and calls it on the first
+    read of .witness, since most callers read only is_yes; repr and == read
+    the witness, so a deferred answer prints and compares as the eager one."""
+
     _fields = ("status", "witness", "note")
+    _make = None
 
     def __init__(self, status, witness=None, note=""):
         self.status = status  # "yes" | "no"
-        self.witness = witness
+        self._witness = witness
         self.note = note
+
+    @classmethod
+    def _deferred(cls, make):
+        """A "yes" whose witness is make(), computed on first read."""
+        res = cls.__new__(cls)
+        res.status, res.note, res._make = "yes", "", make
+        return res
+
+    @property
+    def witness(self):
+        if self._make is not None:
+            self._witness, self._make = self._make(), None
+        return self._witness
 
     @property
     def is_yes(self):
@@ -57,31 +78,6 @@ class Membership(Record):
 
     def __bool__(self):
         return self.is_yes
-
-
-class _SliceHit(Membership):
-    """A "yes" read off a cached slice.  It keeps the slice and the key and
-    walks the witness back only when .witness is first read, since most
-    callers read only is_yes.  repr and == are those of
-    Membership("yes", witness)."""
-
-    def __init__(self, data, key):
-        self.status, self.note, self._hit = "yes", "", (data, key)
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the unread witness
-        if name != "witness":
-            raise AttributeError(name)
-        data, key = self._hit
-        del self._hit
-        self.witness = witness = data.witness(key)
-        return witness
-
-    def __eq__(self, other):
-        return Membership("yes", self.witness) == other
-
-    def __repr__(self):
-        return repr(Membership("yes", self.witness))
 
 
 _INTERN = {}
@@ -126,19 +122,22 @@ class CancellativeMonoid:
 
     def gp_shape(self):
         if "gp_shape" not in self._cache:
-            self._cache["gp_shape"] = subgroup_shape(list(self.generators), self.ambient)
+            self._cache["gp_shape"] = _shape_from_smith(self._gp_smith(), len(self.generators))
         return self._cache["gp_shape"]
 
     def in_gp(self, a):
-        """Whether a lies in gp(M) inside the ambient group: gp(M) is
-        section(Z^r) + t(M) in the splitting of the torsion quotient."""
-        tq = self.torsion_quotient()
-        a = self.ambient.reduce(a)
-        try:
-            v = tq.project(a)
-        except ValueError:
-            return False
-        return tq.in_torsion(self.ambient.sub(a, tq.section(v)))
+        """Whether a lies in gp(M) inside the ambient group: whether
+        sum c_i g_i + sum e_j d_j u_j = a has an integer solution over the
+        generators g_i and the torsion moduli d_j, one solve against the
+        Smith form that gp_shape reads too."""
+        return solve_smith(self._gp_smith(), list(self.ambient.reduce(a))) is not None
+
+    def _gp_smith(self):
+        """The Smith form of [generators | torsion moduli], kept."""
+        if "gp_smith" not in self._cache:
+            m, _ = _congruence_matrix(self.generators, self.ambient)
+            self._cache["gp_smith"] = smith_normal_form(m)
+        return self._cache["gp_smith"]
 
     # -- grading and slices --------------------------------------------------
 
@@ -413,7 +412,7 @@ class TorsionQuotient:
         gens = list(M.generators)
         frees = [list(g[:k]) for g in gens]
         self._tgens = []
-        self._elements = self._tsnf = None
+        self._elements = None
         if not gens:
             self.rank = 0
             self.Mbar = CancellativeMonoid(AbelianGroupShape(0), [])
@@ -448,24 +447,6 @@ class TorsionQuotient:
             self._elements = _group_closure(self._tgens, self.M.ambient)
         return self._elements
 
-    def in_torsion(self, t):
-        """Whether the reduced element t lies in t(M): t has zero free part
-        and its torsion part solves sum c_i t_i + sum e_j d_j u_j = t over
-        the generators t_i of t(M) and the moduli d_j, one solve against a
-        Smith form kept from the first call."""
-        amb = self.M.ambient
-        k = amb.free_rank
-        if any(t[:k]):
-            return False
-        if not amb.torsion:
-            return True
-        if self._tsnf is None:
-            n = len(amb.torsion)
-            cols = [list(g[k:]) for g in self._tgens]
-            cols += [[d if i == j else 0 for i in range(n)] for j, d in enumerate(amb.torsion)]
-            self._tsnf = smith_normal_form([[c[i] for c in cols] for i in range(n)])
-        return solve_smith(self._tsnf, list(t[k:])) is not None
-
     def project(self, a):
         """Coordinates of a's free part x in gp(Mbar) = Z^r.  The basis
         vectors are d_j U^-1 e_j, so these are the (U x)_j / d_j; x is outside
@@ -498,22 +479,19 @@ class UnitQuotient:
 
     def __init__(self, M):
         amb = M.ambient
-        n, k = amb.dim, amb.free_rank
         gens = M.generators
         self.M = M
         unit_set = set(M.unit_generators())
         self.units = [i for i, g in enumerate(gens) if g in unit_set]
         if not self.units:
             raise RuntimeError(f"{M!r} has no positive grading and no unit generator")
-        cols = [list(gens[i]) for i in self.units]
-        cols += [[d if t == k + j else 0 for t in range(n)] for j, d in enumerate(amb.torsion)]
-        self._snf = smith_normal_form([[c[t] for c in cols] for t in range(n)])
+        self._snf = smith_normal_form(_congruence_matrix([gens[i] for i in self.units], amb)[0])
         P, D, _ = self._snf
         diag = diagonal_of(D)
         r = sum(1 for d in diag if d)
         self._free_rows = P[r:]
         self._torsion_rows = [(P[i], d) for i, d in enumerate(diag[:r]) if d > 1]
-        self.ambient = AbelianGroupShape(n - r, tuple(d for _, d in self._torsion_rows))
+        self.ambient = AbelianGroupShape(amb.dim - r, tuple(d for _, d in self._torsion_rows))
         first = {}
         for i, g in enumerate(gens):
             if g not in unit_set:
@@ -526,8 +504,9 @@ class UnitQuotient:
 
     def project(self, x):
         """Coordinates of the image of x in G/U."""
-        return tuple(_dot(row, x) for row in self._free_rows) + tuple(
-            _dot(row, x) % d for row, d in self._torsion_rows
+        return tuple(
+            [_dot(row, x) for row in self._free_rows]
+            + [_dot(row, x) % d for row, d in self._torsion_rows]
         )
 
     def _negation(self, j):
@@ -641,15 +620,15 @@ def member(M, a):
 
     A positive monoid looks a up in its cached slice when that covers
     deg(a), and otherwise searches the facet interval of a (FacetInterval),
-    which grows no slice; both give the same witness.  A slice hit walks
-    its witness back only when .witness is first read (_SliceHit); an
-    interval search walks it back at once, and its answers are memoized
-    (FacetInterval.member).  A caller with many queries up to one degree
-    can build M._slice_data(degree) first to have them answered by lookup
-    (closure.seminormalize relies on this).  A monoid with units answers
-    through the positive monoid M/U(M), and its witness is lifted back to
-    M at once and checked in the ambient group.  The answer is "yes" with
-    a witness, or "no", which is a proof.
+    which grows no slice; both give the same witness.  A slice hit is a
+    deferred Membership that walks its witness back only when .witness is
+    first read; an interval search walks it back at once, and its answers
+    are memoized (FacetInterval.member).  A caller with many queries up to
+    one degree can build M._slice_data(degree) first to have them answered
+    by lookup (closure.seminormalize relies on this).  A monoid with units
+    answers through the positive monoid M/U(M), and every "yes" there is
+    lifted back to M at once and checked in the ambient group.  The answer
+    is "yes" with a witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the
@@ -661,28 +640,17 @@ def member(M, a):
     if M.grading() is not None:
         return _graded_member(M, a)
     uq = M.unit_quotient()
-    res = _graded_lookup(uq.quotient, uq.project(a))
-    if res.__class__ is tuple:
-        data, key = res
-        return Membership("yes", uq.lift(a, data.witness(key)))
+    res = _graded_member(uq.quotient, uq.project(a))
     if not res.is_yes:
         return Membership("no", note=f"image outside M/U: {res.note}")
     return Membership("yes", uq.lift(a, res.witness))
 
 
 def _graded_member(M, a):
-    """Membership of a reduced element in a positive monoid (_graded_lookup),
-    a slice hit answered by a _SliceHit."""
-    res = _graded_lookup(M, a)
-    return _SliceHit(*res) if res.__class__ is tuple else res
-
-
-def _graded_lookup(M, a):
-    """A lookup in the cached slice of the positive monoid M when it covers
-    deg(a), otherwise the interval search of M's FacetInterval, made on
-    first use.  A slice hit gives the pair (slice, key) its witness is
-    walked back from, every other answer a Membership: member's unit path
-    lifts every witness, so it walks a hit back at once."""
+    """Membership of a reduced element in the positive monoid M: a lookup
+    in the cached slice when it covers deg(a), otherwise the interval
+    search of M's FacetInterval, made on first use.  A slice hit defers the
+    walk back of its witness."""
     amb = M.ambient
     if a == amb.zero():
         return Membership("yes", (0,) * len(M.generators))
@@ -694,7 +662,7 @@ def _graded_lookup(M, a):
         # a key in the slice has degree <= its bound, so a hit needs no degree
         key = cached.key(a)
         if key in cached.entries:
-            return cached, key
+            return Membership._deferred(lambda: cached.witness(key))
         if cached.bound >= M.degree(a):
             return Membership("no", note=f"not in the graded slice of degree {cached.bound}")
     interval = cache.get("interval")
@@ -896,13 +864,14 @@ def torsion_quotient(M):
 
 
 def ideal_contains(host, ideal_gens, x):
-    """x in the ideal generated by ideal_gens: exists g with x - g in host."""
+    """x in the ideal generated by ideal_gens: exists g with x - g in host.
+    A "yes" defers its witness, the pair (g, witness of x - g)."""
     amb = host.ambient
     x = amb.reduce(x)
     for g in ideal_gens:
         res = member(host, amb.sub(x, g))
         if res.is_yes:
-            return Membership("yes", (g, res.witness))
+            return Membership._deferred(lambda: (g, res.witness))
     return Membership("no")
 
 

@@ -183,16 +183,16 @@ def test_fields_widen_from_one_target_to_the_next():
 
 
 def test_gp_membership_lists_no_torsion_subgroup():
-    """t(M) is decided by one solve against a Smith form, so a torsion
-    subgroup of 200,003 elements is never listed: in_gp and the facet
-    normals of the cone answer at once where the listing raised "torsion
-    closure too large"."""
+    """gp(M) is decided by one solve against the Smith form M keeps, so a
+    torsion subgroup of 200,003 elements is never listed: in_gp and the
+    facet normals of the cone answer at once where the listing raised
+    "torsion closure too large"."""
     M = CancellativeMonoid(AbelianGroupShape(1, (200003,)), [(1, 0), (1, 1)])
     assert M.in_gp((5, 7))
     assert M.in_gp((-2, 0))
     assert _cone_of(M).normals == [(1,)]
     assert M.torsion_quotient()._elements is None
-    assert M.torsion_quotient()._tsnf is not None
+    assert M._cache["gp_smith"] is M._gp_smith()
     T = CancellativeMonoid(AbelianGroupShape(1, (2, 4)), [(1, 1, 2), (2, 0, 0)])
     assert [T.in_gp(x) for x in [(3, 1, 2), (3, 0, 0), (0, 0, 2), (0, 0, 0)]] == [True, False, False, True]
 

@@ -1,9 +1,10 @@
-"""A slice hit of `member` walks its witness back only when `.witness` is
-first read.  Counted in a fresh process, where nothing else has walked back
-a witness or built a slice: face and interior queries and `is_yes` walk
-back nothing, the first witness read walks back once and gives the slice's
-witness, and a lazy answer prints and compares as the eager one.  The
-unit-quotient path lifts every witness, so it answers eagerly.
+"""A slice hit of `member`, and a "yes" of `MonoidIdeal.member`, walks its
+witness back only when `.witness` is first read.  Counted in a fresh
+process, where nothing else has walked back a witness or built a slice:
+face and interior queries and `is_yes` walk back nothing, the first witness
+read walks back once and gives the slice's witness, and a lazy answer
+prints and compares as the eager one.  The unit-quotient path lifts every
+witness, so it answers eagerly.
 """
 
 import json
@@ -47,9 +48,9 @@ out["walks_unread"] = walks[0]
 
 checked = 0
 for x in xs[::7]:
-    res = member(M, x)
-    assert "witness" not in vars(res)
     before = walks[0]
+    res = member(M, x)
+    assert walks[0] == before
     w = res.witness
     assert walks[0] == before + 1
     assert res.witness is w and walks[0] == before + 1
@@ -75,7 +76,8 @@ for y in range(1, 8):
     res = member(U, (3, y))
     unit_walks.append(walks[0] - before)
     kinds.add(type(res).__name__)
-    assert "witness" in vars(res)
+    before = walks[0]
+    assert res.witness is not None and walks[0] == before
 out["unit_kinds"] = sorted(kinds)
 out["unit_walks"] = unit_walks
 print(json.dumps(out))
@@ -92,3 +94,59 @@ def test_slice_hits_walk_back_only_when_the_witness_is_read():
     # once in M/U and lifted
     assert out["unit_kinds"] == ["Membership"], out
     assert out["unit_walks"] == [1] * 7, out
+
+
+IDEAL_SCRIPT = r"""
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from monoidforge import monoid
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid, MonoidIdeal, member
+
+walks = [0]
+real = monoid._walk_back
+
+
+def counted(*args):
+    walks[0] += 1
+    return real(*args)
+
+
+monoid._walk_back = counted
+M = CancellativeMonoid(AbelianGroupShape(2, (2,)), [(1, 0, 0), (1, 1, 1), (1, 3, 0), (2, 1, 0)])
+data = M._slice_data(20)
+ideal = MonoidIdeal(M, [(2, 1, 1), (3, 3, 0)])
+hits = []
+for x in data.elements(20):
+    res = ideal.member(x)
+    if res.is_yes:
+        hits.append((x, res))
+out = {"hits": len(hits), "walks_unread": walks[0]}
+reads, pairs_ok = 0, True
+for x, res in hits:
+    before = walks[0]
+    g, w = res.witness
+    y = M.ambient.sub(x, g)
+    reads += walks[0] - before
+    pairs_ok &= any(y) == (walks[0] == before + 1)
+    pairs_ok &= res.witness == (g, member(M, y).witness)
+out["walks_read"] = reads
+out["pairs_ok"] = pairs_ok
+out["nonzero_rests"] = sum(1 for x, res in hits if any(M.ambient.sub(x, res.witness[0])))
+print(json.dumps(out))
+"""
+
+
+def test_ideal_slice_hits_walk_back_only_when_the_witness_is_read():
+    """A "yes" of MonoidIdeal.member whose x - g is a slice hit walks back
+    nothing until .witness is read; the pair read is (g, the witness of
+    member(host, x - g)), and reading it walks back once (none for x = g)."""
+    proc = run_fresh(["-c", IDEAL_SCRIPT, os.path.dirname(os.path.abspath(__file__))], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["hits"] > 20, out
+    assert out["walks_unread"] == 0, out
+    assert out["pairs_ok"], out
+    assert out["walks_read"] == out["nonzero_rests"] > 20, out

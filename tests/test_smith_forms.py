@@ -9,9 +9,12 @@ tests/test_lattice.py); the second tests each subset's rank with `rank_of`
 before its rational solve.  The new code must give the same output, in the
 same order, on seeded random cones of dimension 1-4 (spanning or not,
 pointed or not) and on seeded random unit sets, with and without torsion.
+`in_gp_oracle` and `gp_shape_oracle` are the former gp(M) routes, through
+the torsion quotient and through `integer_kernel`; `in_gp` and `gp_shape`,
+which share one Smith form, must agree with them on seeded random monoids.
 
-The count test pins how many Smith forms a torsion quotient and two
-normalizations take, so that a second Smith form for a question one already
+The count test pins how many Smith forms a torsion quotient, two
+normalizations and the gp(M) questions of a monoid take, so that a second Smith form for a question one already
 answers cannot come back unnoticed.
 """
 
@@ -25,8 +28,10 @@ from monoidforge import lattice, monoid
 from monoidforge.closure import _hilbert_basis, _saturate_cone_lattice, hilbert_basis, normalize
 from monoidforge.lattice import (
     AbelianGroupShape,
+    _congruence_matrix,
     _dot,
     clear_denominators,
+    diagonal_of,
     facet_normals,
     integer_kernel,
     rank_of,
@@ -192,6 +197,82 @@ Z2 = AbelianGroupShape(2)
 Z3 = AbelianGroupShape(3)
 
 
+def gp_questions():
+    """in_gp before and after gp_shape on one monoid with torsion; no
+    torsion quotient is built."""
+    M = CancellativeMonoid(AbelianGroupShape(1, (2, 4)), [(1, 1, 2), (2, 0, 0)])
+    assert [M.in_gp(x) for x in [(3, 1, 2), (3, 0, 0), (0, 0, 2)]] == [True, False, False]
+    assert M.gp_shape() == AbelianGroupShape(1, ())
+    assert M.in_gp((-1, 1, 2)) and not M.in_gp((1, 0, 0))
+    assert "tq" not in M._cache
+
+
+def in_gp_oracle(M, a):
+    """The former CancellativeMonoid.in_gp: project the free part of a into
+    gp(Mbar), subtract the section of the projection and solve the rest
+    against the generators of t(M) and the torsion moduli."""
+    amb = M.ambient
+    k = amb.free_rank
+    tq = TorsionQuotient(M)
+    a = amb.reduce(a)
+    try:
+        t = amb.sub(a, tq.section(tq.project(a)))
+    except ValueError:
+        return False
+    if any(t[:k]):
+        return False
+    if not amb.torsion:
+        return True
+    n = len(amb.torsion)
+    cols = [list(g[k:]) for g in tq._tgens]
+    cols += [[d if i == j else 0 for i in range(n)] for j, d in enumerate(amb.torsion)]
+    snf = smith_normal_form([[c[i] for c in cols] for i in range(n)])
+    return solve_smith(snf, list(t[k:])) is not None
+
+
+def gp_shape_oracle(M):
+    """The former subgroup_shape: the relation lattice from integer_kernel
+    of the congruence matrix, then the Smith form of its basis."""
+    s = len(M.generators)
+    if s == 0:
+        return AbelianGroupShape(0, ())
+    m, _ = _congruence_matrix(M.generators, M.ambient)
+    rel = sorted({v[:s] for v in integer_kernel(m) if any(v[:s])})
+    if not rel:
+        return AbelianGroupShape(s, ())
+    diag = [d for d in diagonal_of(smith_normal_form([list(c) for c in zip(*rel)])[1]) if d]
+    return AbelianGroupShape(s - len(diag), tuple(d for d in diag if d > 1))
+
+
+def test_gp_membership_and_shape_match_the_torsion_quotient_route(monkeypatch):
+    """in_gp and gp_shape against the former routes on seeded random
+    monoids of rank 0-3 with moduli 2, 3, 4 and 6, the empty monoid
+    included; neither builds a torsion quotient."""
+    monkeypatch.setattr(monoid, "_INTERN", {})
+    rng = random.Random(2903)
+    seen = {"rank 0": 0, "empty": 0, "torsion": 0, "yes": 0, "no": 0}
+    for _ in range(150):
+        r = rng.randint(0, 3)
+        tor = tuple(rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(0, 2)))
+        amb = AbelianGroupShape(r, tor)
+        gens = [
+            tuple([rng.randint(-2, 3) for _ in range(r)] + [rng.randrange(d) for d in tor])
+            for _ in range(rng.randint(0, 4))
+        ]
+        M = CancellativeMonoid(amb, gens)
+        for _ in range(16):
+            a = tuple([rng.randint(-4, 4) for _ in range(r)] + [rng.randrange(d) for d in tor])
+            got = M.in_gp(a)
+            assert got == in_gp_oracle(M, a), (M, a)
+            seen["yes" if got else "no"] += 1
+        assert M.gp_shape() == gp_shape_oracle(M), M
+        assert "tq" not in M._cache
+        seen["rank 0"] += r == 0
+        seen["empty"] += not M.generators
+        seen["torsion"] += bool(tor)
+    assert min(seen.values()) >= 10, seen
+
+
 def count_smith_forms(monkeypatch, run):
     """The Smith forms run makes on fresh monoids: smith_normal_form is
     wrapped wherever a monoidforge module binds it, and the interned
@@ -236,6 +317,10 @@ def count_smith_forms(monkeypatch, run):
             4,
             id="normalize-non-spanning",
         ),
+        # one Smith form of [generators | torsion moduli] answers every
+        # in_gp and gives gp_shape the relation lattice, whose Smith form
+        # reads the invariants
+        pytest.param(gp_questions, 2, id="gp-membership-and-shape"),
     ],
 )
 def test_smith_form_counts(monkeypatch, run, want):

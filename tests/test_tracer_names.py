@@ -44,6 +44,7 @@ import importlib.util, json, sys
 sys.path.insert(0, sys.argv[1])
 import monoidforge
 from monoidforge.algebra import CancellativeAlgebra, MonomialQuotientAlgebra, PcAlgebra
+from monoidforge import cones
 from monoidforge.lattice import AbelianGroupShape
 from monoidforge.monoid import CancellativeMonoid, PcMonoid
 from monoidforge.rings import GF
@@ -58,6 +59,7 @@ for host in (
     MonomialQuotientAlgebra(N, GF(2), lambda k: k[0] >= 2, "N/x^2"),
 ):
     host.keys_upto(3)
+cones.face_lattice(N)
 print(json.dumps(tracer.summary()["calls"]))
 """
 
@@ -65,7 +67,9 @@ print(json.dumps(tracer.summary()["calls"]))
 def test_keys_upto_span_covers_cancellative_hosts_only():
     """The span algebra.CancellativeAlgebra.keys_upto is patched on that
     class alone: PcAlgebra and MonomialQuotientAlgebra share its keys_upto
-    through their common base but must not count as calls of it."""
+    through their common base but must not count as calls of it.  One
+    face_lattice call runs the tracer's read of cones._CONES.get, which
+    nothing else in the suite reaches."""
     proc = subprocess.run(
         [sys.executable, "-c", SPAN_PROBE, SRC, TRACING],
         capture_output=True, text=True, timeout=120,
@@ -73,3 +77,5 @@ def test_keys_upto_span_covers_cancellative_hosts_only():
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     assert calls["algebra.CancellativeAlgebra.keys_upto"] == 1
+    # a traced face_lattice reads cones._CONES.get after the call
+    assert calls["cones.face_lattice"] == 1
