@@ -14,6 +14,8 @@ Elements never store zero coefficients; all verification is on bounded
 truncations with the bound reported.
 """
 
+from operator import mul
+
 from .lattice import Record, field_eliminate
 from .monoid import PcMonoid, member, units_submonoid
 from .monoid import is_torsion_free as monoid_is_torsion_free
@@ -103,6 +105,18 @@ def monoid_keys_by_weight(M, weight_fn, bound):
     return [k for k, level in zip(keys, levels) if level <= bound]
 
 
+class LinearWeight(tuple):
+    """A monoid-linear weight by its coefficients on the free coordinates:
+    called on a key, the dot product with it.  Equal coefficients make
+    equal, hash-equal weights, so algebras built with the same coefficients
+    share the key lists that monoid_keys_and_levels keeps per weight."""
+
+    __slots__ = ()
+
+    def __call__(self, key):
+        return sum(map(mul, self, key))
+
+
 def monoid_keys_and_levels(M, weight_fn, bound):
     """The key list that monoid_keys_by_weight keeps for M and weight_fn,
     computed for bound when none is kept for bound or more, and the level
@@ -173,7 +187,7 @@ class MonomialQuotientAlgebra(MonoidAlgebraBase):
         self._kill = kill_pred
         self.name = name
         self._custom = weight_fn
-        self._weight = weight_fn or _default_weight(M)
+        self._weight = _default_weight(M) if weight_fn is None else weight_fn
 
     def weight(self, key):
         return self._weight(key)

@@ -341,10 +341,11 @@ def seminormalize(M):
     """sn(M): least intermediate monoid closed under adjoining a with
     2a, 3a already present; fixpoint iteration over the candidate pool.
 
-    Each pass tests the candidates in pool order against the current stage
-    and adjoins every one whose 2a and 3a lie in it; the fixpoint stops
-    after a pass that adjoins nothing, so no pass runs twice.  Stages only
-    grow, so a candidate is tested until it lies in a stage and then
+    M lies in every stage, so the candidates in M's slice leave the pool
+    first.  Each pass tests the rest in pool order against the current
+    stage and adjoins every one whose 2a and 3a lie in it; the fixpoint
+    stops after a pass that adjoins nothing, so no pass runs twice.  Stages
+    only grow, so a candidate is tested until it lies in a stage and then
     dropped.  The first adjunction is tested on M itself.
 
     Raises for monoids that are neither positive nor already normal (the
@@ -365,11 +366,8 @@ def seminormalize(M):
         )
     amb = M.ambient
     pool = _sn_candidate_pool(M)
-    # the first pass asks M itself about every candidate: one slice up to
-    # the pool's degree answers those by lookup (member reads a cached slice
-    # that covers the degree and never grows one), where the later stages,
-    # asked about fewer candidates, search intervals
-    M._slice_data(max(M.degree(a) for a in pool))
+    data = M._slice_data(max(M.degree(a) for a in pool))
+    pool = [a for a in pool if data.key(a) not in data.entries]
     current = M
     added, certs = [], {}
     while True:

@@ -115,18 +115,6 @@ class RationalCone:
                 m |= bit
         return m
 
-    def witness_mask(self, witness):
-        """The element mask of the element with coefficient vector witness
-        over M.generators: the facets vanishing on every generator it uses.
-        Exact, since a ray n has n . x = sum c_i n . g_i with every term
-        >= 0.  Faster than element_mask on a slice key, which would first
-        be unpacked."""
-        m = self.all_facets
-        for c, v in zip(witness, self.host_masks):
-            if c:
-                m &= v
-        return m
-
     def faces(self):
         """All faces, dimension-sorted; ties broken lex on sorted ray lists.
 

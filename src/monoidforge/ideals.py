@@ -366,6 +366,10 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         raise ValueError("ideal_filtration requires a seminormal monoid")
     cone = _cone_of(M)
     r = len(face_lattice(M)) - 1
+    # the slice that certifies every level, with the facet mask of each key
+    data = M._slice_data(degree_bound)
+    keys = data.sorted_keys(degree_bound)
+    masks = [cone.element_mask(data.element(x)) for x in keys]
     chain = []
     for k in range(r + 1):
         if k == 0:
@@ -378,10 +382,9 @@ def ideal_filtration(M, degree_bound=12, require_seminormal=False):
         gens = _support_generators(M, at_least_k)
         ideal = MonoidIdeal(M, gens)
         # certify on the slice: the generated ideal matches the predicate
-        data = M._slice_data(degree_bound)
         minus = data.minus(ideal.generators)
-        for x in data.sorted_keys(degree_bound):
-            want = x != data.zero and at_least_k(cone.witness_mask(data.witness(x)))
+        for x, mask in zip(keys, masks):
+            want = x != data.zero and at_least_k(mask)
             got = data.generated(x, minus)
             if want != got:
                 raise CertificationError(

@@ -167,11 +167,7 @@ class CancellativeMonoid:
         one breadth-first search started at 0, for the callers that
         enumerate: the ideals, the key lists, the closures and
         _irreducible_generators.  member reads a cached slice but never
-        grows one; past its bound it searches an interval instead.  So a
-        caller about to ask member about many elements up to one degree
-        may build that slice first and have them answered by lookup, as
-        closure.seminormalize does for its first pass; a change to this
-        policy must keep that true or move the decision into member.
+        grows one; past its bound it searches an interval instead.
 
         The witness of an element is the first path the search reaches it
         by: the factorization with the fewest generators, and among those
@@ -623,12 +619,10 @@ def member(M, a):
     which grows no slice; both give the same witness.  A slice hit is a
     deferred Membership that walks its witness back only when .witness is
     first read; an interval search walks it back at once, and its answers
-    are memoized (FacetInterval.member).  A caller with many queries up to
-    one degree can build M._slice_data(degree) first to have them answered
-    by lookup (closure.seminormalize relies on this).  A monoid with units
-    answers through the positive monoid M/U(M), and every "yes" there is
-    lifted back to M at once and checked in the ambient group.  The answer
-    is "yes" with a witness, or "no", which is a proof.
+    are memoized (FacetInterval.member).  A monoid with units answers
+    through the positive monoid M/U(M), and every "yes" there is lifted
+    back to M at once and checked in the ambient group.  The answer is
+    "yes" with a witness, or "no", which is a proof.
 
     The witness depends only on (M, a).  On a positive monoid it is the
     factorization with the fewest generators, and among those the

@@ -35,6 +35,7 @@ from .rings import QQ
 from .algebra import (
     AlgebraElement,
     CancellativeAlgebra,
+    LinearWeight,
     MonomialQuotientAlgebra,
     MonomialSubsetAlgebra,
     PcAlgebra,
@@ -965,29 +966,6 @@ def torsion_group_monoid(n_list):
     return CancellativeMonoid(amb, gens)
 
 
-def _torsion_weights(S_prev, p, prev):
-    """The weights (w_a2, w_b1) of the torsion-splitting corners over S_prev.
-
-    monoid_keys_by_weight keeps one key list per weight function, and key
-    lists do not depend on the ring, so every build over the same S_prev
-    gets the same two functions, kept in S_prev's cache: a rebuild, over
-    any ring, reuses the lists of the first build.
-    """
-    memo = S_prev._cache.setdefault("torsion_weights", {})
-    if (p, prev) in memo:
-        return memo[p, prev]
-    wS = S_prev.degree if S_prev.generators else (lambda k: 0)
-
-    def w_b1(key):  # t-exponent plus the degree of the S_prev part
-        return key[p] + wS(key[:p] + key[p + 1 :])
-
-    def w_a2(key):  # the degree of the S_prev part
-        return wS(key[: p + len(prev)])
-
-    memo[p, prev] = w_a2, w_b1
-    return w_a2, w_b1
-
-
 def build_torsion_splitting(L, n_list, R):
     """Gubeladze's pair of torsion-splitting squares.
 
@@ -1024,7 +1002,9 @@ def build_torsion_splitting(L, n_list, R):
     b2_gens.append(tuple([0] * p) + (0,) * len(prev) + (1,))
     B2mon = CancellativeMonoid(A2mon.ambient, b2_gens)
 
-    w_a2, w_b1 = _torsion_weights(S_prev, p, prev)
+    # the degree of the S_prev part, and for B1 the t-exponent added
+    w_a2 = LinearWeight(S_prev.grading())
+    w_b1 = LinearWeight(S_prev.grading() + (1,))
     A2alg = CancellativeAlgebra(A2mon, R, weight_fn=w_a2)
     B1alg = CancellativeAlgebra(B1mon, R, weight_fn=w_b1)
     B2alg = CancellativeAlgebra(B2mon, R, weight_fn=w_a2)

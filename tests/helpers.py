@@ -53,6 +53,18 @@ def vanishing_mask(cone, v):
     return m
 
 
+def witness_mask(cone, witness):
+    """The element mask of the element with coefficient vector witness
+    over M.generators: the facets vanishing on every generator it uses.
+    Exact, since a ray n has n . x = sum c_i n . g_i with every term >= 0;
+    the oracle of RationalCone.element_mask on slice elements."""
+    m = cone.all_facets
+    for c, v in zip(witness, cone.host_masks):
+        if c:
+            m &= v
+    return m
+
+
 def vanishing_set(cone, v):
     """Indices of the facet normals of a RationalCone vanishing at the point
     v (Mbar coords)."""

@@ -12,9 +12,10 @@ that are key maps now.
 The fast functions must give the same closure JSON and the same
 subintegral element on seeded positive and torsion monoids, and the same
 verification report and the same image, coefficient for coefficient and in
-order, of every basis element under every leg on every listed square.  A
-count taken in a fresh process pins the membership calls of one
-seminormalization.
+order, of every basis element under every leg on every listed square.  The
+fast torsion-splitting weights are values that agree with the oracle
+weights and equal each other over every ring.  A count taken in a fresh
+process pins the membership calls of one seminormalization.
 """
 
 import json
@@ -41,7 +42,7 @@ from monoidforge.monoid import (
     smash,
     units_submonoid,
 )
-from monoidforge.rings import GF, QQ
+from monoidforge.rings import GF, QQ, ZZ
 from monoidforge.squares import (
     Corner,
     MilnorSquare,
@@ -385,13 +386,15 @@ print(json.dumps({
 def test_member_calls_of_one_seminormalization_in_a_fresh_process():
     """seminormalize of <(2,0,0),(0,3,0),(1,1,0),(0,0,2),(1,0,1),(0,2,3)>
     after its normalization: 22 stages and the minimalized result are
-    interned, and each candidate is tested (a, then 2a, then 3a) until it
-    lies in a stage.  The oracle fixpoint, which tests the whole pool
-    against every stage and its last pass twice, makes 1,867 calls."""
+    interned.  The members of M, read off M's slice, leave the pool before
+    the first stage, and each other candidate is tested (a, then 2a, then
+    3a) until it lies in a stage.  The oracle fixpoint, which tests the
+    whole pool against every stage and its last pass twice, makes 1,867
+    calls; asking every stage about the members of M made 740."""
     proc = run_fresh(["-c", SEMINORMALIZE_COUNT], timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"member": 740, "interned": 23, "added": 22}
+    assert report == {"member": 590, "interned": 23, "added": 22}
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +446,29 @@ def test_torsion_splitting_matches_the_oracle(host, n_list, ring):
             sq.maps["top"](t1)
         messages.append(str(info.value))
     assert messages[0] == messages[1] and "element leaves Lambda" in messages[0]
+
+
+@pytest.mark.parametrize(
+    "rank, gens, n_list",
+    [(1, [(1,)], [2]), (1, [(1,)], [2, 3]), (2, [(1, 0), (1, 1), (1, 2)], [2])],
+    ids=["Z+ [2]", "Z+ [2, 3]", "<(1,0),(1,1),(1,2)> [2]"],
+)
+def test_torsion_splitting_weights_compare_by_value(rank, gens, n_list):
+    """The corner weights are values: builds over F2 and over Z give equal,
+    hash-equal weights, so they share every key list; on each A2 and B1
+    key up to weight 10 they agree with the oracle weights; and S_prev
+    keeps no memo of them."""
+    L = CancellativeMonoid(AbelianGroupShape(rank), gens)
+    prev = tuple(n_list[:-1])
+    S_prev = smash(L, torsion_group_monoid(prev)) if prev else L
+    over_f2, over_z = (build_torsion_splitting(L, n_list, R)[0] for R in (GF(2), ZZ))
+    for name in ("A2", "B1", "B2"):
+        w, w_z = (sq.corner(name).algebra._weight for sq in (over_f2, over_z))
+        assert w == w_z and hash(w) == hash(w_z), name
+    oracle = dict(zip(("A2", "B1"), _torsion_weights_oracle(S_prev, rank, prev)))
+    for name, want in oracle.items():
+        alg = over_f2.corner(name).algebra
+        keys = alg.keys_upto(10)
+        assert len(keys) > 10, name
+        assert [alg.weight(k) for k in keys] == [want(k) for k in keys], name
+    assert "torsion_weights" not in S_prev._cache

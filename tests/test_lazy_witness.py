@@ -4,13 +4,23 @@ process, where nothing else has walked back a witness or built a slice:
 face and interior queries and `is_yes` walk back nothing, the first witness
 read walks back once and gives the slice's witness, and a lazy answer
 prints and compares as the eager one.  The unit-quotient path lifts every
-witness, so it answers eagerly.
+witness, so it answers eagerly.  `ideal_filtration` certifies each level on
+the facet masks of the slice elements and walks back no witness at all.
 """
 
 import json
 import os
 
-from helpers import run_fresh
+from helpers import run_fresh, witness_mask
+from monoidforge.cones import _cone_of, face_lattice
+from monoidforge.ideals import (
+    FiltrationIdeal,
+    _face_index_at_least,
+    _support_generators,
+    ideal_filtration,
+)
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid, MonoidIdeal, smash
 
 SCRIPT = r"""
 import json
@@ -150,3 +160,79 @@ def test_ideal_slice_hits_walk_back_only_when_the_witness_is_read():
     assert out["walks_unread"] == 0, out
     assert out["pairs_ok"], out
     assert out["walks_read"] == out["nonzero_rests"] > 20, out
+
+
+FILTRATION_SCRIPT = r"""
+import json
+import sys
+
+from monoidforge import monoid
+from monoidforge.ideals import ideal_filtration
+from monoidforge.lattice import AbelianGroupShape
+from monoidforge.monoid import CancellativeMonoid
+
+walks = [0]
+real = monoid._walk_back
+
+
+def counted(*args):
+    walks[0] += 1
+    return real(*args)
+
+
+monoid._walk_back = counted
+out = []
+for rank, torsion, gens in json.loads(sys.argv[1]):
+    M = CancellativeMonoid(AbelianGroupShape(rank, tuple(torsion)), [tuple(g) for g in gens])
+    before = walks[0]
+    chain = ideal_filtration(M, 10)
+    out.append({"walks": walks[0] - before, "chain": [f.to_json() for f in chain]})
+print(json.dumps(out))
+"""
+
+FILTRATION_HOSTS = [
+    CancellativeMonoid(AbelianGroupShape(2), [(1, 0), (0, 1)]),
+    CancellativeMonoid(AbelianGroupShape(1), [(2,), (3,)]),
+    smash(
+        CancellativeMonoid(AbelianGroupShape(1), [(1,)]),
+        CancellativeMonoid(AbelianGroupShape(0, (2,)), [(1,)]),
+    ),
+    CancellativeMonoid(AbelianGroupShape(3), [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]),
+]
+
+
+def filtration_oracle(M, bound):
+    """ideal_filtration with its former certification loop: the facet mask
+    of every slice element is read off its walked-back witness
+    (helpers.witness_mask) at every level."""
+    cone = _cone_of(M)
+    chain = [FiltrationIdeal(M, 0, MonoidIdeal(M, [M.ambient.zero()]), bound)]
+    data = M._slice_data(bound)
+    for k in range(1, len(face_lattice(M))):
+        at_least_k = _face_index_at_least(M, k)
+        ideal = MonoidIdeal(M, _support_generators(M, at_least_k))
+        minus = data.minus(ideal.generators)
+        for x in data.sorted_keys(bound):
+            want = x != data.zero and at_least_k(witness_mask(cone, data.witness(x)))
+            assert want == data.generated(x, minus), (M, k, data.element(x))
+        chain.append(FiltrationIdeal(M, k, ideal, bound))
+    return chain
+
+
+def test_ideal_filtration_walks_back_no_witness():
+    """In a fresh process, the filtration of Z+^2, <2,3>, Z+ smash Z/2 and a
+    rank-3 cone at bound 10 walks back no witness, and each chain is the
+    one the witness-mask certification gives."""
+    hosts = [
+        [M.ambient.free_rank, list(M.ambient.torsion), [list(g) for g in M.generators]]
+        for M in FILTRATION_HOSTS
+    ]
+    proc = run_fresh(["-c", FILTRATION_SCRIPT, json.dumps(hosts)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert [host["walks"] for host in out] == [0] * len(FILTRATION_HOSTS), out
+    for M, host in zip(FILTRATION_HOSTS, out):
+        want = [f.to_json() for f in filtration_oracle(M, 10)]
+        assert host["chain"] == want, M
+        assert [f.to_json() for f in ideal_filtration(M, 10)] == want, M
+    assert [len(host["chain"]) for host in out] == [4, 2, 2, 10], out
